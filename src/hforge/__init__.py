@@ -11,15 +11,18 @@ The package is layered bottom-up:
     denominator accumulator for building large sums cheaply.
 ``special``
     Harmonic numbers, binomial coefficients (integer and shifted-
-    symbolic), and digamma differences realized as finite sums.
-``catalog``
-    The identity catalog plus the symbolic verification engine.
-``oracle``
-    Independent numeric verification: deterministic grid sampling with
-    degree-bound certificates and integer-point direct summation.
+    symbolic), and digamma differences realized as finite sums, with
+    factored-fraction builders for the symbolic ones.
 ``dsl``
     A small expression language for stating identities, with a
     span-carrying parser, static checks, and an exact evaluator.
+``catalog``
+    The identity catalog, each side stated in the expression language
+    (parsed on first evaluation, so importing the package does not import
+    ``dsl``), plus the verification engine.
+``oracle``
+    Independent numeric verification: deterministic grid sampling with
+    degree-bound certificates and integer-point direct summation.
 ``cli``
     The ``hforge`` command line front end.
 """
@@ -28,7 +31,6 @@ from .bivar import BiFrac, BiPoly, FactoredFrac, bifrac_eq, cross_difference, ff
 from .catalog import (
     IdentityEntry,
     ParamSpec,
-    catalog,
     eval_side,
     lookup,
     tags,
@@ -79,7 +81,6 @@ __all__ = [
     "binom_int",
     "binom_neg3half",
     "binom_shift",
-    "catalog",
     "cross_difference",
     "eval_side",
     "ffsum",

@@ -1,11 +1,11 @@
 """Catalog of finite binomial-sum and harmonic-number identities.
 
-Each entry packages two independently evaluable sides of one identity
-under a stable tag, together with a citation anchor, the value domain
-(``Q``, ``Q(s)``, ``Q(x)``, or ``Q(s,x)``), and parameter constraints.
-Side evaluators assemble exact :class:`~hforge.bivar.FactoredFrac`
-values from the shifted-binomial and digamma-difference primitives and
-hand back :class:`~hforge.bivar.BiFrac` for cross-multiplied comparison.
+Each entry states one identity under a stable tag: its two sides as
+expression-language source (see :mod:`hforge.dsl`), a citation anchor,
+the value domain (``Q``, ``Q(s)``, ``Q(x)``, or ``Q(s,x)``), and
+parameter constraints.  A side is parsed and checked on its first
+evaluation and evaluated exactly by :func:`hforge.dsl.eval`, which hands
+back :class:`~hforge.bivar.BiFrac` for cross-multiplied comparison.
 """
 
 from __future__ import annotations
@@ -13,76 +13,56 @@ from __future__ import annotations
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
-from .bivar import BiFrac, BiPoly, FactoredFrac, bifrac_eq, ffsum
-from .exact import Poly
+from .bivar import BiFrac, bifrac_eq
 from .report import Report, ReportRow, make_witness
-from .special import binom_int, binom_shift, harmonic, harmonic_gen, psi_diff, psi1_diff
 
-# One shared (1+x) polynomial so every denominator factor built from it
-# matches structurally inside FactoredFrac sums.
-_XP1 = BiPoly.from_x_poly(Poly((1, 1)))
-
-
-def binom_factor(shift: int, k: int) -> FactoredFrac:
-    """C(s+shift, k) as a polynomial factor in s."""
-    return FactoredFrac.from_ratfunc(binom_shift(shift, k))
-
-
-def psi_factor(a: int, b: int) -> FactoredFrac:
-    """psi(s+a) - psi(s+b) with the (s+j) poles kept as shared factors."""
-    return FactoredFrac.from_ratfunc(psi_diff(a, b), [(j, 1) for j in range(b, a)])
-
-
-def psi1_factor(a: int, b: int) -> FactoredFrac:
-    """psi'(s+a) - psi'(s+b) with squared (s+j) poles kept as factors."""
-    return FactoredFrac.from_ratfunc(psi1_diff(a, b), [(j, 2) for j in range(b, a)])
-
-
-def onepx_pow(e: int) -> FactoredFrac:
-    """(1+x)**e; a negative exponent keeps the power in the denominator."""
-    if e >= 0:
-        return FactoredFrac(_XP1 ** e)
-    return FactoredFrac(BiPoly.one(), ((_XP1, -e),))
-
-
-def xratio_pow(e: int) -> FactoredFrac:
-    """(x/(1+x))**e for e >= 0, with the (1+x) factor shared."""
-    if e < 0:
-        raise ValueError("xratio_pow needs a nonnegative exponent")
-    if e == 0:
-        return FactoredFrac(BiPoly.one())
-    return FactoredFrac(BiPoly.x(e), ((_XP1, e),))
-
-
-_S = FactoredFrac.var_s()
-_H = harmonic
-
-
-def _H2(n: int) -> Fraction:
-    return harmonic_gen(n, 2)
-
-
-_C = binom_int
-
-
-def _sgn(j: int) -> int:
-    return 1 if j % 2 == 0 else -1
-
-
-def _scalar(value) -> FactoredFrac:
-    return FactoredFrac.from_scalar(value)
-
+# Unused here; the tracer in perfbench/spans.py patches these names in
+# this module, so they stay importable from it.
+from .special import (  # noqa: F401
+    binom_factor,
+    binom_shift,
+    psi1_diff,
+    psi1_factor,
+    psi_diff,
+    psi_factor,
+)
 
 # ---------------------------------------------------------------------------
 # Entry metadata
 # ---------------------------------------------------------------------------
 
 Params = Mapping[str, int]
-SideBuilder = Callable[[int, Params], FactoredFrac]
-SideEvaluator = Callable[..., BiFrac]
+
+
+class Side:
+    """One side of an identity, stated in the expression language.
+
+    Calling it with ``(n, params)`` gives the side's exact value as a
+    :class:`BiFrac`, with ``params`` bound to the declared integer
+    parameters.  The source is parsed and checked on the first call, so
+    importing the catalog does not import the language.
+    """
+
+    __slots__ = ("source", "params", "_ast")
+
+    def __init__(self, source: str, params: tuple[str, ...] = ()):
+        self.source = source
+        self.params = params
+        self._ast = None
+
+    def __call__(self, n: int, params: Params | None = None) -> BiFrac:
+        from . import dsl
+
+        if self._ast is None:
+            ast = dsl.parse_expr(self.source)
+            if not isinstance(ast, list):
+                ast = dsl.check(ast, self.params)
+            if isinstance(ast, list):
+                raise ValueError(f"bad statement {self.source!r}: {ast[0]}")
+            self._ast = ast
+        return dsl.eval(self._ast, n, params)
 
 
 @dataclass(frozen=True)
@@ -107,7 +87,7 @@ class ParamSpec:
 
 @dataclass(frozen=True, eq=False)
 class IdentityEntry:
-    """One identity: tag, citation anchor, domain, and side evaluators.
+    """One identity: tag, citation anchor, domain, and its two sides.
 
     ``lhs`` and ``rhs`` map ``(n, params)`` to :class:`BiFrac`.  Entries
     with alternative right sides (INTRO-2) list them in ``rhs_variants``;
@@ -118,11 +98,11 @@ class IdentityEntry:
     tag: str
     anchor: str
     domain: str
-    lhs: SideEvaluator
-    rhs: SideEvaluator
+    lhs: Side
+    rhs: Side
     n_min: int = 1
     extra_params: tuple[ParamSpec, ...] = ()
-    rhs_variants: Mapping[str, SideEvaluator] = field(default_factory=dict)
+    rhs_variants: Mapping[str, Side] = field(default_factory=dict)
     expected_fail_variants: frozenset = frozenset()
     note: str = ""
 
@@ -154,7 +134,7 @@ class IdentityEntry:
             )
         return grids
 
-    def rhs_for(self, variant: str | None) -> SideEvaluator:
+    def rhs_for(self, variant: str | None) -> Side:
         if variant is None:
             return self.rhs
         if variant not in self.rhs_variants:
@@ -162,520 +142,25 @@ class IdentityEntry:
         return self.rhs_variants[variant]
 
 
-def _wrap(builder: SideBuilder) -> SideEvaluator:
-    def run(n: int, params: Params | None = None) -> BiFrac:
-        value = builder(n, dict(params or {}))
-        if isinstance(value, FactoredFrac):
-            return value.to_bifrac()
-        return value
-
-    return run
-
-
 # ---------------------------------------------------------------------------
-# Side builders.  Summation ranges and groupings follow the anchored
+# The catalog.  Summation ranges and groupings follow the anchored
 # statements term for term; simplification is left to the comparison.
 # ---------------------------------------------------------------------------
 
 
-def _lhs_thm21(n, p):
-    return ffsum(binom_factor(n, k) * BiPoly.x(k) for k in range(n + 1))
-
-
-def _rhs_thm21(n, p):
-    inner = ffsum(
-        binom_factor(k, k) * Fraction(1, k + 1) * xratio_pow(k + 1) for k in range(n)
-    )
-    return onepx_pow(n) * (1 + _S * inner)
-
-
-def _lhs_thm22(n, p):
-    return ffsum(
-        binom_factor(n, k) * psi_factor(n + 1, n - k + 1) * BiPoly.x(k)
-        for k in range(1, n + 1)
-    )
-
-
-def _rhs_thm22(n, p):
-    return onepx_pow(n) * ffsum(
-        binom_factor(k, k)
-        * Fraction(1, k + 1)
-        * (1 + _S * psi_factor(k + 1, 1))
-        * xratio_pow(k + 1)
-        for k in range(n)
-    )
-
-
-def _lhs_cor23(n, p):
-    return ffsum(
-        _sgn(k) * binom_factor(n, k) * psi_factor(n + 1, n - k + 1)
-        for k in range(n + 1)
-    )
-
-
-def _rhs_cor23(n, p):
-    return (
-        Fraction(_sgn(n), n)
-        * binom_factor(n - 1, n - 1)
-        * (1 + _S * psi_factor(n, 1))
-    )
-
-
-def _lhs_thm24(n, p):
-    return ffsum(
-        binom_factor(n, k)
-        * (psi_factor(n + 1, n - k + 1) ** 2 + psi1_factor(n + 1, n - k + 1))
-        * BiPoly.x(k)
-        for k in range(n + 1)
-    )
-
-
-def _rhs_thm24(n, p):
-    def brace(k):
-        d = psi_factor(k + 1, 1)
-        return 2 * d + _S * (d ** 2 + psi1_factor(k + 1, 1))
-
-    return onepx_pow(n) * ffsum(
-        Fraction(1, k + 1) * binom_factor(k, k) * brace(k) * xratio_pow(k + 1)
-        for k in range(n)
-    )
-
-
-def _lhs_cor25(n, p):
-    return ffsum(
-        _sgn(k)
-        * binom_factor(n, k)
-        * (psi_factor(n + 1, n - k + 1) ** 2 + psi1_factor(n + 1, n - k + 1))
-        for k in range(n + 1)
-    )
-
-
-def _rhs_cor25(n, p):
-    d = psi_factor(n, 1)
-    return (
-        Fraction(_sgn(n), n)
-        * binom_factor(n - 1, n - 1)
-        * (2 * d + _S * (d ** 2 + psi1_factor(n, 1)))
-    )
-
-
-def _lhs_thm26(n, p):
-    return ffsum(
-        binom_factor(n, k) * Fraction(_sgn(k - 1), k) for k in range(1, n + 1)
-    )
-
-
-def _rhs_thm26(n, p):
-    inner = ffsum(
-        binom_factor(k, k) * (Fraction(_sgn(k)) / ((k + 1) ** 2 * _C(n, k + 1)))
-        for k in range(n)
-    )
-    return _H(n) + _S * inner
-
-
-def _thm26_rhs_coeff(n, k):
-    return binom_factor(k, k) * (Fraction(_sgn(k)) / ((k + 1) ** 2 * _C(n, k + 1)))
-
-
-def _lhs_thm27(n, p):
-    return ffsum(
-        Fraction(_sgn(k - 1), k) * binom_factor(n, k) * psi_factor(n + 1, n - k + 1)
-        for k in range(1, n + 1)
-    )
-
-
-def _rhs_thm27(n, p):
-    first = ffsum(_thm26_rhs_coeff(n, k) for k in range(n))
-    second = ffsum(_thm26_rhs_coeff(n, k) * psi_factor(k + 1, 1) for k in range(n))
-    return first + _S * second
-
-
-def _lhs_thm28(n, p):
-    return ffsum(
-        Fraction(_sgn(k - 1), k)
-        * binom_factor(n, k)
-        * (psi_factor(n + 1, n - k + 1) ** 2 + psi1_factor(n + 1, n - k + 1))
-        for k in range(1, n + 1)
-    )
-
-
-def _rhs_thm28(n, p):
-    first = ffsum(_thm26_rhs_coeff(n, k) * psi_factor(k + 1, 1) for k in range(n))
-    second = ffsum(
-        _thm26_rhs_coeff(n, k)
-        * (psi_factor(k + 1, 1) ** 2 + psi1_factor(k + 1, 1))
-        for k in range(n)
-    )
-    return 2 * first + _S * second
-
-
-def _lhs_thm29(n, p):
-    return ffsum(
-        binom_factor(n, k) * Fraction(_sgn(k - 1), k * k) for k in range(1, n + 1)
-    )
-
-
-def _thm29_rhs_coeff(n, k):
-    return binom_factor(k, k) * (
-        Fraction(_sgn(k), k + 1) * (_H(n) - _H(k)) / ((n - k) * _C(n, k))
-    )
-
-
-def _rhs_thm29(n, p):
-    inner = ffsum(_thm29_rhs_coeff(n, k) for k in range(n))
-    return (_H(n) ** 2 + _H2(n)) / 2 + _S * inner
-
-
-def _lhs_thm210(n, p):
-    return ffsum(
-        binom_factor(n, k)
-        * Fraction(_sgn(k - 1), k * k)
-        * psi_factor(n + 1, n - k + 1)
-        for k in range(1, n + 1)
-    )
-
-
-def _rhs_thm210(n, p):
-    first = ffsum(_thm29_rhs_coeff(n, k) for k in range(n))
-    second = ffsum(_thm29_rhs_coeff(n, k) * psi_factor(k + 1, 1) for k in range(n))
-    return first + _S * second
-
-
-def _lhs_thm211(n, p):
-    return ffsum(
-        binom_factor(n, k)
-        * Fraction(_sgn(k - 1), k * k)
-        * (psi_factor(n + 1, n - k + 1) ** 2 + psi1_factor(n + 1, n - k + 1))
-        for k in range(1, n + 1)
-    )
-
-
-def _rhs_thm211(n, p):
-    first = ffsum(_thm29_rhs_coeff(n, k) * psi_factor(k + 1, 1) for k in range(n))
-    second = ffsum(
-        _thm29_rhs_coeff(n, k)
-        * (psi_factor(k + 1, 1) ** 2 + psi1_factor(k + 1, 1))
-        for k in range(n)
-    )
-    return 2 * first + _S * second
-
-
-def _lhs_id1(n, p):
-    return ffsum(_sgn(k) * binom_factor(n, k) for k in range(n + 1))
-
-
-def _rhs_id1(n, p):
-    return _sgn(n) * binom_factor(n - 1, n)
-
-
-def _lhs_id2(n, p):
-    return ffsum(_sgn(k) * binom_factor(0, k) for k in range(n + 1))
-
-
-def _rhs_id2(n, p):
-    return _sgn(n) * binom_factor(-1, n)
-
-
-def _lhs_id3(n, p):
-    return _scalar(sum((_C(2 * k, k) / 4 ** k for k in range(n + 1)), Fraction(0)))
-
-
-def _rhs_id3(n, p):
-    return _scalar(Fraction(2 * n + 1, 4 ** n) * _C(2 * n, n))
-
-
-def _lhs_id4(n, p):
-    return _scalar(
-        sum(
-            (_C(2 * k, k) / 4 ** k * (2 * _H(2 * k) - _H(k)) for k in range(1, n + 1)),
-            Fraction(0),
-        )
-    )
-
-
-def _rhs_id4(n, p):
-    return _scalar(
-        Fraction(2 * n + 1, 4 ** n)
-        * _C(2 * n, n)
-        * (2 * _H(2 * n) - _H(n) - Fraction(4 * n, 2 * n + 1))
-    )
-
-
-def _lhs_id5(n, p):
-    return _scalar(
-        sum((Fraction(_sgn(k - 1), k) * _C(n, k) for k in range(1, n + 1)), Fraction(0))
-    )
-
-
-def _rhs_id5(n, p):
-    return _scalar(_H(n))
-
-
-def _lhs_id6(n, p):
-    return _scalar(
-        sum(
-            (Fraction(_sgn(k - 1), k) * _C(n, k) * _H(n - k) for k in range(1, n + 1)),
-            Fraction(0),
-        )
-    )
-
-
-def _rhs_id6(n, p):
-    tail = sum(
-        (Fraction(_sgn(k)) / (k * k * _C(n, k)) for k in range(1, n + 1)), Fraction(0)
-    )
-    return _scalar(_H(n) ** 2 + tail)
-
-
-def _lhs_id7(n, p):
-    return ffsum(
-        FactoredFrac(BiPoly.x(k)) * (_C(n, k) * _H(n - k)) for k in range(n + 1)
-    )
-
-
-def _rhs_id7(n, p):
-    inner = ffsum(xratio_pow(k) * Fraction(1, k) for k in range(1, n + 1))
-    return onepx_pow(n) * (_H(n) - inner)
-
-
-def _lhs_id8(n, p):
-    return _scalar(sum((_C(n, k) * _H(k) for k in range(n + 1)), Fraction(0)))
-
-
-def _rhs_id8(n, p):
-    tail = sum((Fraction(1, k * 2 ** k) for k in range(1, n + 1)), Fraction(0))
-    return _scalar(2 ** n * (_H(n) - tail))
-
-
-def _lhs_id9(n, p):
-    return ffsum(
-        FactoredFrac(BiPoly.x(k)) * (_C(n, k) * (_H(k) ** 2 + _H2(k)))
-        for k in range(1, n + 1)
-    )
-
-
-def _rhs_id9(n, p):
-    inner = ffsum(
-        FactoredFrac(BiPoly.one(), ((_XP1, k),))
-        * (Fraction(1, k) * (_H(k - 1) - _H(n)))
-        for k in range(1, n + 1)
-    )
-    return onepx_pow(n) * ((_H(n) ** 2 + _H2(n)) + 2 * inner)
-
-
-def _lhs_id10(n, p):
-    return _scalar(
-        sum(
-            (_sgn(k) * _C(n, k) * (_H(k) ** 2 + _H2(k)) for k in range(1, n + 1)),
-            Fraction(0),
-        )
-    )
-
-
-def _rhs_id10(n, p):
-    return _scalar(Fraction(-2, n * n))
-
-
-def _lhs_id11(n, p):
-    return _scalar(
-        sum((Fraction(_sgn(k)) / (k * _C(n, k)) for k in range(1, n + 1)), Fraction(0))
-    )
-
-
-def _rhs_id11(n, p):
-    return _scalar(Fraction(_sgn(n) - 1, n + 1))
-
-
-def _lhs_id12(n, p):
-    return _scalar(
-        sum(
-            (
-                Fraction(_sgn(k - 1), k) * _C(n, k) * (_H(n - k) ** 2 + _H2(n - k))
-                for k in range(1, n + 1)
-            ),
-            Fraction(0),
-        )
-    )
-
-
-def _rhs_id12(n, p):
-    tail = sum(
-        (
-            _sgn(k) * (_H(n) - _H(k - 1)) / (k * k * _C(n, k))
-            for k in range(1, n + 1)
-        ),
-        Fraction(0),
-    )
-    return _scalar(_H(n) ** 3 + _H(n) * _H2(n) + 2 * tail)
-
-
-def _lhs_id13(n, p):
-    m = p["m"]
-    return _scalar(
-        sum(
-            (_sgn(k) * _C(m * n, k) * _H(m * n - k) for k in range(n + 1)), Fraction(0)
-        )
-    )
-
-
-def _rhs_id13(n, p):
-    m = p["m"]
-    return _scalar(
-        Fraction(_sgn(n), m)
-        * _C(m * n, n)
-        * ((m - 1) * _H((m - 1) * n) - Fraction(1, m * n))
-    )
-
-
-def _lhs_id15(n, p):
-    return _scalar(
-        sum(
-            (_sgn(k) * _H(k) / (k * _C(n, k)) for k in range(1, n + 1)), Fraction(0)
-        )
-    )
-
-
-def _rhs_id15(n, p):
-    tail = sum(
-        (Fraction(_sgn(k)) / (k * k * _C(n + 1, k)) for k in range(1, n + 2)),
-        Fraction(0),
-    )
-    return _scalar(Fraction(_sgn(n)) * _H(n + 1) / (n + 1) + tail)
-
-
-def _lhs_id16(n, p):
-    return _scalar(
-        sum(
-            (_sgn(k - 1) * 4 ** k * _C(n, k) / _C(2 * k, k) for k in range(n + 1)),
-            Fraction(0),
-        )
-    )
-
-
-def _rhs_id16(n, p):
-    return _scalar(Fraction(1, 2 * n - 1))
-
-
-def _lhs_id17(n, p):
-    return _scalar(
-        sum(
-            (_C(n, k) * Fraction(_sgn(k - 1), k * k) for k in range(1, n + 1)),
-            Fraction(0),
-        )
-    )
-
-
-def _rhs_id17(n, p):
-    return _scalar((_H(n) ** 2 + _H2(n)) / 2)
-
-
-def _lhs_id18(n, p):
-    return _scalar(
-        sum(
-            (_sgn(k) * _H(n - k) / (k * _C(n, k)) for k in range(1, n + 1)),
-            Fraction(0),
-        )
-    )
-
-
-def _rhs_id18(n, p):
-    return _scalar(Fraction(1 - _sgn(n), (n + 1) ** 2) - _H(n) / (n + 1))
-
-
-def _lhs_id19(n, p):
-    return _scalar(
-        sum(
-            (Fraction(_sgn(k - 1), k * k) * _C(n, k) * _H(n - k) for k in range(1, n + 1)),
-            Fraction(0),
-        )
-    )
-
-
-def _rhs_id19(n, p):
-    tail = sum(
-        (_sgn(k) * (_H(n) - _H(k)) / ((k + 1) * (n - k) * _C(n, k)) for k in range(n)),
-        Fraction(0),
-    )
-    return _scalar(_H(n) * (_H(n) ** 2 + _H2(n)) / 2 - tail)
-
-
-def _lhs_id20(n, p):
-    return _scalar(
-        sum(
-            (
-                Fraction(_sgn(k - 1), k * k)
-                * _C(n, k)
-                * (_H(n - k) ** 2 + _H2(n - k))
-                for k in range(1, n + 1)
-            ),
-            Fraction(0),
-        )
-    )
-
-
-def _rhs_id20(n, p):
-    tail = sum(
-        (
-            _sgn(k) * (_H(n) - _H(k)) ** 2 / ((k + 1) * (n - k) * _C(n, k))
-            for k in range(n)
-        ),
-        Fraction(0),
-    )
-    return _scalar((_H(n) ** 2 + _H2(n)) ** 2 / 2 - 2 * tail)
-
-
-def _lhs_intro1(n, p):
-    return _scalar(sum((_C(n, k) ** 2 * _H(k) for k in range(n + 1)), Fraction(0)))
-
-
-def _rhs_intro1(n, p):
-    return _scalar(_C(2 * n, n) * (2 * _H(n) - _H(2 * n)))
-
-
-def _lhs_intro2(n, p):
-    return _scalar(
-        sum(
-            (_sgn(k) * _C(n, k) * (_H(k) - 2 * _H(2 * k)) for k in range(n + 1)),
-            Fraction(0),
-        )
-    )
-
-
-def _rhs_intro2_printed(n, p):
-    return _scalar(Fraction(4 ** n, n) * _C(2 * n, n) ** 2)
-
-
-def _rhs_intro2_corrected(n, p):
-    return _scalar(Fraction(4 ** n) / (n * _C(2 * n, n)))
-
-
-def _lhs_intro3(n, p):
-    return _scalar(
-        sum((_sgn(k) * _C(n, k) * _H(n + k) ** 2 for k in range(n + 1)), Fraction(0))
-    )
-
-
-def _rhs_intro3(n, p):
-    return _scalar((_H(n) - _H(2 * n) - Fraction(2, n)) / (n * _C(2 * n, n)))
-
-
-# ---------------------------------------------------------------------------
-# The catalog
-# ---------------------------------------------------------------------------
-
-
 def _entry(tag, anchor, domain, lhs, rhs, **kw) -> IdentityEntry:
-    variants = kw.pop("rhs_variants", None)
-    wrapped_variants = (
-        {name: _wrap(b) for name, b in variants.items()} if variants else {}
-    )
+    names = tuple(spec.name for spec in kw.get("extra_params", ()))
+    variants = {
+        name: Side(source, names)
+        for name, source in kw.pop("rhs_variants", {}).items()
+    }
     return IdentityEntry(
         tag=tag,
         anchor=anchor,
         domain=domain,
-        lhs=_wrap(lhs),
-        rhs=_wrap(rhs),
-        rhs_variants=wrapped_variants,
+        lhs=Side(lhs, names),
+        rhs=Side(rhs, names),
+        rhs_variants=variants,
         **kw,
     )
 
@@ -683,97 +168,126 @@ def _entry(tag, anchor, domain, lhs, rhs, **kw) -> IdentityEntry:
 _M_GRID = (ParamSpec("m", 2, (2, 3, 4, 5)),)
 _M_PAIR = (ParamSpec("m", 2, (2, 3), allowed=(2, 3)),)
 
+# Shared by the two ID-13 entries: the general formula over the m grid.
+_ID13_LHS = "sum(k=0..n, (-1)^k * C(m*n,k)*H(m*n-k))"
+_ID13_RHS = "(-1)^n/m * C(m*n,n)*((m-1)*H((m-1)*n) - 1/(m*n))"
+
 _ENTRIES: tuple[IdentityEntry, ...] = (
     _entry(
         "THM-2.1",
         'Eq. (14), "there holds the following identity"',
         "Q(s,x)",
-        _lhs_thm21,
-        _rhs_thm21,
+        "sum(k=0..n, CS(n,k)*x^k)",
+        "(1+x)^n * (1 + s*sum(k=0..n-1, CS(k,k)/(k+1) * (x/(1+x))^(k+1)))",
     ),
     _entry(
         "THM-2.2",
         'Eq. (16), "$\\psi(s+n+1)-\\psi(s+n-k+1)\\}x^k$"',
         "Q(s,x)",
-        _lhs_thm22,
-        _rhs_thm22,
+        "sum(k=1..n, CS(n,k)*PSID(n+1,n-k+1)*x^k)",
+        (
+            "(1+x)^n * sum(k=0..n-1, CS(k,k)/(k+1) * (1 + s*PSID(k+1,1))"
+            " * (x/(1+x))^(k+1))"
+        ),
     ),
     _entry(
         "COR-2.3",
         'Eq. (17), "by taking $x=-1$"',
         "Q(s)",
-        _lhs_cor23,
-        _rhs_cor23,
+        "sum(k=0..n, (-1)^k * CS(n,k)*PSID(n+1,n-k+1))",
+        "(-1)^n/n * CS(n-1,n-1) * (1 + s*PSID(n,1))",
     ),
     _entry(
         "THM-2.4",
         "Eq. (18), \"$\\psi'(s+n+1)-\\psi'(s+n-k+1)$\"",
         "Q(s,x)",
-        _lhs_thm24,
-        _rhs_thm24,
+        "sum(k=0..n, CS(n,k)*(PSID(n+1,n-k+1)^2 + PSI1D(n+1,n-k+1))*x^k)",
+        (
+            "(1+x)^n * sum(k=0..n-1, CS(k,k)/(k+1)"
+            " * (2*PSID(k+1,1) + s*(PSID(k+1,1)^2 + PSI1D(k+1,1))) * (x/(1+x))^(k+1))"
+        ),
     ),
     _entry(
         "COR-2.5",
         'Eq. (19), "If we write Eq. (18) at $x=-1$"',
         "Q(s)",
-        _lhs_cor25,
-        _rhs_cor25,
+        "sum(k=0..n, (-1)^k * CS(n,k)*(PSID(n+1,n-k+1)^2 + PSI1D(n+1,n-k+1)))",
+        "(-1)^n/n * CS(n-1,n-1) * (2*PSID(n,1) + s*(PSID(n,1)^2 + PSI1D(n,1)))",
     ),
     _entry(
         "THM-2.6",
         'Eq. (20), "$H_n+ s\\sum_{k=0}^{n-1}$"',
         "Q(s)",
-        _lhs_thm26,
-        _rhs_thm26,
+        "sum(k=1..n, CS(n,k)*(-1)^(k-1)/k)",
+        "H(n) + s*sum(k=0..n-1, (-1)^k * CS(k,k)/((k+1)^2 * C(n,k+1)))",
     ),
     _entry(
         "THM-2.7",
         'Eq. (23), "follows immediately from differentiating both sides of (20)"',
         "Q(s)",
-        _lhs_thm27,
-        _rhs_thm27,
+        "sum(k=1..n, (-1)^(k-1)/k * CS(n,k)*PSID(n+1,n-k+1))",
+        (
+            "sum(k=0..n-1, (-1)^k * CS(k,k)/((k+1)^2 * C(n,k+1)))"
+            " + s*sum(k=0..n-1, (-1)^k * CS(k,k)/((k+1)^2 * C(n,k+1)) * PSID(k+1,1))"
+        ),
     ),
     _entry(
         "THM-2.8",
         'Eq. (24), "differentiate both sides of (23)"',
         "Q(s)",
-        _lhs_thm28,
-        _rhs_thm28,
+        "sum(k=1..n, (-1)^(k-1)/k * CS(n,k)*(PSID(n+1,n-k+1)^2 + PSI1D(n+1,n-k+1)))",
+        (
+            "2*sum(k=0..n-1, (-1)^k * CS(k,k)/((k+1)^2 * C(n,k+1)) * PSID(k+1,1))"
+            " + s*sum(k=0..n-1, (-1)^k * CS(k,k)/((k+1)^2 * C(n,k+1))"
+            " * (PSID(k+1,1)^2 + PSI1D(k+1,1)))"
+        ),
     ),
     _entry(
         "THM-2.9",
         'Eq. (25), "$\\frac{H_n^2+H_n^{(2)}}{2}+s\\sum$"',
         "Q(s)",
-        _lhs_thm29,
-        _rhs_thm29,
+        "sum(k=1..n, CS(n,k)*(-1)^(k-1)/k^2)",
+        (
+            "(H(n)^2 + Hr(n,2))/2"
+            " + s*sum(k=0..n-1, (-1)^k/(k+1) * CS(k,k)*(H(n)-H(k))/((n-k)*C(n,k)))"
+        ),
     ),
     _entry(
         "THM-2.10",
         'Eq. (31), "differentiating both sides of the equation (25)"',
         "Q(s)",
-        _lhs_thm210,
-        _rhs_thm210,
+        "sum(k=1..n, CS(n,k)*(-1)^(k-1)/k^2 * PSID(n+1,n-k+1))",
+        (
+            "sum(k=0..n-1, (-1)^k/(k+1) * CS(k,k)*(H(n)-H(k))/((n-k)*C(n,k)))"
+            " + s*sum(k=0..n-1, (-1)^k/(k+1) * CS(k,k)*(H(n)-H(k))/((n-k)*C(n,k))"
+            " * PSID(k+1,1))"
+        ),
     ),
     _entry(
         "THM-2.11",
         'Eq. (32), "differentiating both sides of the equation (31)"',
         "Q(s)",
-        _lhs_thm211,
-        _rhs_thm211,
+        "sum(k=1..n, CS(n,k)*(-1)^(k-1)/k^2 * (PSID(n+1,n-k+1)^2 + PSI1D(n+1,n-k+1)))",
+        (
+            "2*sum(k=0..n-1, (-1)^k/(k+1) * CS(k,k)*(H(n)-H(k))/((n-k)*C(n,k))"
+            " * PSID(k+1,1))"
+            " + s*sum(k=0..n-1, (-1)^k/(k+1) * CS(k,k)*(H(n)-H(k))/((n-k)*C(n,k))"
+            " * (PSID(k+1,1)^2 + PSI1D(k+1,1)))"
+        ),
     ),
     _entry(
         "ID-1",
         'Eq. (33), "$(-1)^n\\binom{s+n-1}{n}$"',
         "Q(s)",
-        _lhs_id1,
-        _rhs_id1,
+        "sum(k=0..n, (-1)^k * CS(n,k))",
+        "(-1)^n * CS(n-1,n)",
     ),
     _entry(
         "ID-2",
         'Eq. (34), "the replacement $s\\to s-n$"',
         "Q(s)",
-        _lhs_id2,
-        _rhs_id2,
+        "sum(k=0..n, (-1)^k * CS(0,k))",
+        "(-1)^n * CS(-1,n)",
         note=(
             "The anchored statement restricts integer s to s >= n; both sides "
             "are polynomials in s, so symbolic equality holds with no "
@@ -784,86 +298,89 @@ _ENTRIES: tuple[IdentityEntry, ...] = (
         "ID-3",
         '§3 Identity 3, "$\\frac{2n+1}{2^{2n}}\\binom{2n}{n}$"',
         "Q",
-        _lhs_id3,
-        _rhs_id3,
+        "sum(k=0..n, C(2*k,k)/4^k)",
+        "(2*n+1)/4^n * C(2*n,n)",
     ),
     _entry(
         "ID-4",
         '§3 Identity 4, "$2H_{2n}-H_n-\\frac{4n}{2n+1}$"',
         "Q",
-        _lhs_id4,
-        _rhs_id4,
+        "sum(k=1..n, C(2*k,k)/4^k * (2*H(2*k) - H(k)))",
+        "(2*n+1)/4^n * C(2*n,n) * (2*H(2*n) - H(n) - 4*n/(2*n+1))",
     ),
     _entry(
         "ID-5",
         'Eq. (43), "originally due to Euler"',
         "Q",
-        _lhs_id5,
-        _rhs_id5,
+        "sum(k=1..n, (-1)^(k-1)/k * C(n,k))",
+        "H(n)",
     ),
     _entry(
         "ID-6",
         'Eq. (44), "$H_n^2+\\sum_{k=1}^{n}\\frac{(-1)^{k}}{k^2\\binom{n}{k}}$"',
         "Q",
-        _lhs_id6,
-        _rhs_id6,
+        "sum(k=1..n, (-1)^(k-1)/k * C(n,k)*H(n-k))",
+        "H(n)^2 + sum(k=1..n, (-1)^k/(k^2 * C(n,k)))",
     ),
     _entry(
         "ID-7",
         'Eq. (45), "$H_n-\\sum_{k=1}^{n}\\frac{1}{k}\\left(\\frac{x}{1+x}\\right)^k$"',
         "Q(x)",
-        _lhs_id7,
-        _rhs_id7,
+        "sum(k=0..n, C(n,k)*H(n-k)*x^k)",
+        "(1+x)^n * (H(n) - sum(k=1..n, 1/k * (x/(1+x))^k))",
     ),
     _entry(
         "ID-8",
         '§3 Identity 8, "$2^n\\left[H_n-\\sum_{k=1}^{n}\\frac{1}{k2^k}\\right]$"',
         "Q",
-        _lhs_id8,
-        _rhs_id8,
+        "sum(k=0..n, C(n,k)*H(k))",
+        "2^n * (H(n) - sum(k=1..n, 1/(k*2^k)))",
     ),
     _entry(
         "ID-9",
         'Eq. (48), "$H_n^2+H_n^{(2)}+2\\sum$"',
         "Q(x)",
-        _lhs_id9,
-        _rhs_id9,
+        "sum(k=1..n, C(n,k)*(H(k)^2 + Hr(k,2))*x^k)",
+        "(1+x)^n * (H(n)^2 + Hr(n,2) + 2*sum(k=1..n, (H(k-1) - H(n))/(k*(1+x)^k)))",
     ),
     _entry(
         "ID-10",
         '§3 Identity 10, "$=-\\frac{2}{n^2}$"',
         "Q",
-        _lhs_id10,
-        _rhs_id10,
+        "sum(k=1..n, (-1)^k * C(n,k)*(H(k)^2 + Hr(k,2)))",
+        "-2/n^2",
     ),
     _entry(
         "ID-11",
         'Eq. (51), "$\\frac{(-1)^n-1}{n+1}$"',
         "Q",
-        _lhs_id11,
-        _rhs_id11,
+        "sum(k=1..n, (-1)^k/(k*C(n,k)))",
+        "((-1)^n - 1)/(n+1)",
     ),
     _entry(
         "ID-12",
         '§3 Identity 12, "$H_n^3+H_nH_n^{(2)}+2\\sum$"',
         "Q",
-        _lhs_id12,
-        _rhs_id12,
+        "sum(k=1..n, (-1)^(k-1)/k * C(n,k)*(H(n-k)^2 + Hr(n-k,2)))",
+        (
+            "H(n)^3 + H(n)*Hr(n,2)"
+            " + 2*sum(k=1..n, (-1)^k * (H(n) - H(k-1))/(k^2 * C(n,k)))"
+        ),
     ),
     _entry(
         "ID-13",
         'Eq. (53), "$(m-1)H_{(m-1)n}-\\frac{1}{mn}$"',
         "Q",
-        _lhs_id13,
-        _rhs_id13,
+        _ID13_LHS,
+        _ID13_RHS,
         extra_params=_M_GRID,
     ),
     _entry(
         "ID-14",
         '§3 Identity 14, "$H_n-\\frac{1}{2n}$"',
         "Q",
-        _lhs_id13,
-        _rhs_id13,
+        _ID13_LHS,
+        _ID13_RHS,
         extra_params=_M_PAIR,
         note=(
             "Both cases restate the anchored general formula at m=2,3.  The "
@@ -876,60 +393,66 @@ _ENTRIES: tuple[IdentityEntry, ...] = (
         "ID-15",
         '§3 Identity 15, "$\\frac{(-1)^{n}H_{n+1}}{n+1}+\\sum$"',
         "Q",
-        _lhs_id15,
-        _rhs_id15,
+        "sum(k=1..n, (-1)^k * H(k)/(k*C(n,k)))",
+        "(-1)^n * H(n+1)/(n+1) + sum(k=1..n+1, (-1)^k/(k^2 * C(n+1,k)))",
     ),
     _entry(
         "ID-16",
         '§3 Identity 16, "$\\frac{1}{2n-1}$"',
         "Q",
-        _lhs_id16,
-        _rhs_id16,
+        "sum(k=0..n, (-1)^(k-1) * 4^k * C(n,k)/C(2*k,k))",
+        "1/(2*n-1)",
     ),
     _entry(
         "ID-17",
         'Eq. (61), "$\\frac{H_n^2+H_n^{(2)}}{2}$"',
         "Q",
-        _lhs_id17,
-        _rhs_id17,
+        "sum(k=1..n, C(n,k)*(-1)^(k-1)/k^2)",
+        "(H(n)^2 + Hr(n,2))/2",
     ),
     _entry(
         "ID-18",
         '§3 Identity 18, "$\\frac{1-(-1)^n}{(n+1)^2}-\\frac{H_n}{n+1}$"',
         "Q",
-        _lhs_id18,
-        _rhs_id18,
+        "sum(k=1..n, (-1)^k * H(n-k)/(k*C(n,k)))",
+        "(1 - (-1)^n)/(n+1)^2 - H(n)/(n+1)",
     ),
     _entry(
         "ID-19",
         'Eq. (65), "$\\frac{H_n\\left(H_n^2+H_n^{(2)}\\right)}{2}-\\sum$"',
         "Q",
-        _lhs_id19,
-        _rhs_id19,
+        "sum(k=1..n, (-1)^(k-1)/k^2 * C(n,k)*H(n-k))",
+        (
+            "H(n)*(H(n)^2 + Hr(n,2))/2"
+            " - sum(k=0..n-1, (-1)^k * (H(n) - H(k))/((k+1)*(n-k)*C(n,k)))"
+        ),
     ),
     _entry(
         "ID-20",
         '§3 Identity 20, "$\\frac{\\left(H_n^2+H_n^{(2)}\\right)^2}{2}$"',
         "Q",
-        _lhs_id20,
-        _rhs_id20,
+        "sum(k=1..n, (-1)^(k-1)/k^2 * C(n,k)*(H(n-k)^2 + Hr(n-k,2)))",
+        (
+            "(H(n)^2 + Hr(n,2))^2/2"
+            " - 2*sum(k=0..n-1, (-1)^k * (H(n) - H(k))^2/((k+1)*(n-k)*C(n,k)))"
+        ),
     ),
     _entry(
         "INTRO-1",
         '§1, "$\\binom{2n}{n}[2H_n-H_{2n}]$"',
         "Q",
-        _lhs_intro1,
-        _rhs_intro1,
+        "sum(k=0..n, C(n,k)^2 * H(k))",
+        "C(2*n,n)*(2*H(n) - H(2*n))",
     ),
     _entry(
         "INTRO-2",
         '§1, "$\\frac{4^n}{n}\\binom{2n}{n}^2$"',
         "Q",
-        _lhs_intro2,
-        _rhs_intro2_corrected,
+        "sum(k=0..n, (-1)^k * C(n,k)*(H(k) - 2*H(2*k)))",
+        "4^n/(n*C(2*n,n))",
         rhs_variants={
-            "printed": _rhs_intro2_printed,
-            "corrected": _rhs_intro2_corrected,
+            "printed": "4^n/n * C(2*n,n)^2",
+            "corrected": "4^n/(n*C(2*n,n))",
         },
         expected_fail_variants=frozenset({"printed"}),
         note=(
@@ -942,8 +465,8 @@ _ENTRIES: tuple[IdentityEntry, ...] = (
         "INTRO-3",
         '§1, "$H_n-H_{2n}-\\frac{2}{n}$"',
         "Q",
-        _lhs_intro3,
-        _rhs_intro3,
+        "sum(k=0..n, (-1)^k * C(n,k)*H(n+k)^2)",
+        "1/(n*C(2*n,n)) * (H(n) - H(2*n) - 2/n)",
     ),
 )
 
@@ -1081,11 +604,15 @@ def verify_all(
     bivariate_cap: int = 15,
     variant: str | None = None,
     workers: int = 1,
+    m_grid: Sequence[int] | None = None,
 ) -> Report:
-    """Sweep the whole catalog (or a tag subset) up to n_max.
+    """Sweep the whole catalog (or a tag subset, in the order given) up to
+    n_max, in one pool when ``workers > 1``.
 
     Entries over Q(s,x) are capped at ``bivariate_cap`` to bound the
-    cross-multiplication cost of the two-variable comparison.
+    cross-multiplication cost of the two-variable comparison.  Entries
+    with an ``m`` parameter run over ``m_grid`` instead of their default
+    grid when it is given.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -1096,7 +623,10 @@ def verify_all(
         lo = max(n_min, entry.n_min)
         if top < lo:
             continue
-        cells.extend(plan_cells(entry, range(lo, top + 1), None, variant))
+        params_range = None
+        if m_grid is not None and any(sp.name == "m" for sp in entry.extra_params):
+            params_range = [{"m": v} for v in m_grid]
+        cells.extend(plan_cells(entry, range(lo, top + 1), params_range, variant))
     return _execute(cells, workers)
 
 

@@ -19,7 +19,8 @@ from typing import Optional, Sequence, Tuple
 import click
 
 from . import __version__, dsl
-from .catalog import IdentityEntry, catalog, lookup, verify
+# ``verify`` stays importable here for perfbench/spans.py, which looks it up.
+from .catalog import IdentityEntry, catalog, lookup, verify, verify_all  # noqa: F401
 from .exact import PoleError
 from .oracle import integer_s_check, sampling_verify
 from .report import Report, ReportRow
@@ -243,29 +244,19 @@ def verify_cmd(run_all, ids, n_min, n_max, m_text, variant, oracle,
         output=output, workers=workers, oracle=oracle, variant=variant,
         timing=not no_timing, extra={"bivariate_cap": bivariate_cap},
     )
-    entries = _resolve_entries(ids) if ids else list(catalog())
-    report = Report()
-    for entry in entries:
-        top = n_max
-        if entry.domain == "Q(s,x)":
-            top = min(top, bivariate_cap)
-        lo = max(n_min, entry.n_min)
-        if lo > top:
-            continue
-        params_range = None
-        if m_grid is not None and any(s.name == "m" for s in entry.extra_params):
-            params_range = [{"m": v} for v in m_grid]
-        try:
-            part = verify(
-                entry,
-                range(lo, top + 1),
-                params_range=params_range,
-                variant=variant,
-                workers=workers,
-            )
-        except ValueError as exc:
-            raise click.UsageError(str(exc))
-        report.extend(part)
+    tags = [e.tag for e in _resolve_entries(ids)] if ids else None
+    try:
+        report = verify_all(
+            n_max,
+            n_min=n_min,
+            tags=tags,
+            bivariate_cap=bivariate_cap,
+            variant=variant,
+            workers=workers,
+            m_grid=m_grid,
+        )
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
     if oracle != "off":
         report = _fold_oracle(report, oracle)
     _emit_report(report, config)
@@ -383,8 +374,8 @@ def eval_cmd(expr, n, s_text, x_text):
               show_default=True)
 @click.option("--output", type=click.Path(dir_okay=False), default=None)
 def bench_cmd(ids, n_min, n_max, workers_text, memo, fmt, output):
-    """Wall-clock the symbolic path per entry per n; CSV header
-    id,n,workers,memo,nanos."""
+    """Time each cell of a catalog sweep (capped like ``verify --all``) per
+    worker count and memo setting; CSV header id,n,workers,memo,nanos."""
     if workers_text is None:
         worker_counts = (_default_workers(),)
     else:
@@ -398,28 +389,20 @@ def bench_cmd(ids, n_min, n_max, workers_text, memo, fmt, output):
             raise click.UsageError("--workers values must be >= 1")
     if n_min < 1 or n_min > n_max:
         raise click.UsageError("need 1 <= n-min <= n-max")
-    entries = _resolve_entries(ids) if ids else list(catalog())
+    tags = [e.tag for e in _resolve_entries(ids)] if ids else None
     memo_modes = ("on", "off") if memo == "both" else (memo,)
     records = []
     try:
-        for entry in entries:
-            lo = max(n_min, entry.n_min)
-            for n in range(lo, n_max + 1):
-                for w in worker_counts:
-                    for mode in memo_modes:
-                        set_memoization(mode == "on")
-                        part = verify(entry, [n], workers=w)
-                        for row in part.rows:
-                            label = row.id
-                            extras = [
-                                f"{k}={row.params[k]}"
-                                for k in sorted(row.params)
-                            ]
-                            if extras:
-                                label += "[" + ",".join(extras) + "]"
-                            records.append(
-                                (label, row.n, w, mode, row.elapsed_ns)
-                            )
+        for w in worker_counts:
+            for mode in memo_modes:
+                set_memoization(mode == "on")
+                part = verify_all(n_max, n_min=n_min, tags=tags, workers=w)
+                for row in part.rows:
+                    label = row.id
+                    extras = [f"{k}={row.params[k]}" for k in sorted(row.params)]
+                    if extras:
+                        label += "[" + ",".join(extras) + "]"
+                    records.append((label, row.n, w, mode, row.elapsed_ns))
     finally:
         set_memoization(True)
     if fmt == "csv":

@@ -3,15 +3,16 @@ integer-context rules, with a value-domain annotation per node.
 
 Domains form a chain ``integer < rational < ratfunc < bifrac`` (a value
 in an earlier domain embeds in every later one); binary operators join
-their operand domains.  The free variables are fixed: ``n`` and sum
-binders are integers, ``s`` is a rational-function indeterminate, ``x``
-a bivariate one.  Arguments of the builtins, sum bounds, and exponents
-must be integer-valued expressions.
+their operand domains.  The free variables are ``n`` and sum binders,
+which are integers, ``s``, a rational-function indeterminate, ``x``, a
+bivariate one, and any integer parameters the caller declares.
+Arguments of the builtins, sum bounds, and exponents must be
+integer-valued expressions.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Union
+from typing import Dict, Iterable, List, Union
 
 from .nodes import (
     Add,
@@ -142,14 +143,21 @@ class _Checker:
         raise TypeError(f"unknown node kind {type(node).__name__}")
 
 
-def check(ast: Ast) -> Union[Ast, List[Diagnostic]]:
+def check(ast: Ast, params: Iterable[str] = ()) -> Union[Ast, List[Diagnostic]]:
     """Validate and annotate a parsed tree.
 
-    Returns the same tree with every node's ``domain`` filled in, or the
-    list of problems found.
+    ``params`` names extra free integer variables (such as a family
+    index ``m``) that the evaluator takes from its ``bindings``.  Returns
+    the same tree with every node's ``domain`` filled in, or the list of
+    problems found.
     """
+    scope = dict(_FREE_VARS)
+    for name in params:
+        if name in scope:
+            raise ValueError(f"parameter {name!r} shadows a free variable")
+        scope[name] = INTEGER
     checker = _Checker()
-    checker.visit(ast, dict(_FREE_VARS))
+    checker.visit(ast, scope)
     if checker.diags:
         return checker.diags
     return ast

@@ -16,10 +16,16 @@ from fractions import Fraction
 from typing import Dict, Iterable, Mapping, Optional, Union
 
 from ..bivar import BiFrac, FactoredFrac
-from ..catalog import binom_factor, psi_factor, psi1_factor
 from ..exact import ZeroDenominatorError
 from ..report import Report, ReportRow, make_witness
-from ..special import binom_int, harmonic, harmonic_gen
+from ..special import (
+    binom_factor,
+    binom_int,
+    harmonic,
+    harmonic_gen,
+    psi1_factor,
+    psi_factor,
+)
 from .nodes import (
     Add,
     Call,
@@ -38,6 +44,11 @@ from .nodes import (
 )
 
 Value = Union[int, Fraction, FactoredFrac]
+Env = Dict[str, int]
+# Builtin results by (name, *integer arguments), shared by every node of
+# one top-level evaluation: a side that calls PSID(k+1,1) twice per term
+# builds it once.
+Cache = Dict[tuple, Value]
 
 
 class EvalError(Exception):
@@ -53,7 +64,7 @@ def _scalar(v: Value) -> bool:
     return isinstance(v, (int, Fraction))
 
 
-def _ev(node: Expr, env: Dict[str, int]) -> Value:
+def _ev(node: Expr, env: Env, cache: Cache) -> Value:
     if isinstance(node, IntLit):
         return node.value
     if isinstance(node, RatLit):
@@ -68,26 +79,26 @@ def _ev(node: Expr, env: Dict[str, int]) -> Value:
             return FactoredFrac.var_x()
         raise EvalError(f"unbound variable {node.name!r}", node.span)
     if isinstance(node, Neg):
-        return -_ev(node.child, env)
+        return -_ev(node.child, env, cache)
     if isinstance(node, Add):
-        return _ev(node.left, env) + _ev(node.right, env)
+        return _ev(node.left, env, cache) + _ev(node.right, env, cache)
     if isinstance(node, Sub):
-        return _ev(node.left, env) - _ev(node.right, env)
+        return _ev(node.left, env, cache) - _ev(node.right, env, cache)
     if isinstance(node, Mul):
-        return _ev(node.left, env) * _ev(node.right, env)
+        return _ev(node.left, env, cache) * _ev(node.right, env, cache)
     if isinstance(node, Div):
-        numer = _ev(node.left, env)
-        inverse = _ev_inverse(node.right, env)
+        numer = _ev(node.left, env, cache)
+        inverse = _ev_inverse(node.right, env, cache)
         if _scalar(numer) and _scalar(inverse):
             return Fraction(numer) * Fraction(inverse)
         return numer * inverse
     if isinstance(node, Pow):
-        e = _ev(node.exponent, env)
+        e = _ev(node.exponent, env, cache)
         if not isinstance(e, int):
             raise EvalError(
                 "exponent did not evaluate to an integer", node.exponent.span
             )
-        base = _ev(node.base, env)
+        base = _ev(node.base, env, cache)
         if _scalar(base):
             if e >= 0:
                 return base ** e
@@ -103,8 +114,8 @@ def _ev(node: Expr, env: Dict[str, int]) -> Value:
                 "zero cannot be raised to a negative power", node.span
             ) from None
     if isinstance(node, Sum):
-        lo = _ev(node.lo, env)
-        hi = _ev(node.hi, env)
+        lo = _ev(node.lo, env, cache)
+        hi = _ev(node.hi, env, cache)
         if not isinstance(lo, int) or not isinstance(hi, int):
             raise EvalError(
                 "sum bounds did not evaluate to integers", node.span
@@ -113,40 +124,40 @@ def _ev(node: Expr, env: Dict[str, int]) -> Value:
         inner = dict(env)
         for j in range(lo, hi + 1):
             inner[node.binder] = j
-            acc = acc + _ev(node.body, inner)
+            acc = acc + _ev(node.body, inner, cache)
         return acc
     if isinstance(node, Call):
-        return _ev_call(node, env)
+        return _ev_call(node, env, cache)
     raise EvalError(f"cannot evaluate {type(node).__name__}", node.span)
 
 
-def _ev_inverse(node: Expr, env: Dict[str, int]) -> Value:
+def _ev_inverse(node: Expr, env: Env, cache: Cache) -> Value:
     """Evaluate 1/node, descending products and powers so denominator
     factors like (1+x)^k stay structurally shared."""
     if isinstance(node, Mul):
-        return _ev_inverse(node.left, env) * _ev_inverse(node.right, env)
+        return _ev_inverse(node.left, env, cache) * _ev_inverse(node.right, env, cache)
     if isinstance(node, Div):
-        right = _ev(node.right, env)
+        right = _ev(node.right, env, cache)
         if _scalar(right) and right == 0 or (
             isinstance(right, FactoredFrac) and right.is_zero()
         ):
             raise EvalError("division by zero", node.right.span)
-        return _ev_inverse(node.left, env) * right
+        return _ev_inverse(node.left, env, cache) * right
     if isinstance(node, Neg):
-        return -_ev_inverse(node.child, env)
+        return -_ev_inverse(node.child, env, cache)
     if isinstance(node, Pow):
-        e = _ev(node.exponent, env)
+        e = _ev(node.exponent, env, cache)
         if not isinstance(e, int):
             raise EvalError(
                 "exponent did not evaluate to an integer", node.exponent.span
             )
         if e == 0:
             return 1
-        base_inv = _ev_inverse(node.base, env)
+        base_inv = _ev_inverse(node.base, env, cache)
         if _scalar(base_inv):
             return Fraction(base_inv) ** e
         return base_inv ** e
-    value = _ev(node, env)
+    value = _ev(node, env, cache)
     if _scalar(value):
         if value == 0:
             raise EvalError("division by zero", node.span)
@@ -163,10 +174,10 @@ def _ev_inverse(node: Expr, env: Dict[str, int]) -> Value:
         ) from None
 
 
-def _int_args(node: Call, env: Dict[str, int]) -> list[int]:
+def _int_args(node: Call, env: Env, cache: Cache) -> list[int]:
     vals = []
     for arg in node.args:
-        v = _ev(arg, env)
+        v = _ev(arg, env, cache)
         if not isinstance(v, int):
             raise EvalError(
                 f"argument of {node.func} did not evaluate to an integer",
@@ -176,8 +187,16 @@ def _int_args(node: Call, env: Dict[str, int]) -> list[int]:
     return vals
 
 
-def _ev_call(node: Call, env: Dict[str, int]) -> Value:
-    args = _int_args(node, env)
+def _ev_call(node: Call, env: Env, cache: Cache) -> Value:
+    args = _int_args(node, env, cache)
+    key = (node.func, *args)
+    value = cache.get(key)
+    if value is None:
+        value = cache[key] = _builtin(node, args)
+    return value
+
+
+def _builtin(node: Call, args: list[int]) -> Value:
     try:
         if node.func == "H":
             return harmonic(args[0])
@@ -204,13 +223,13 @@ def eval(
         raise ValueError("evaluate one side of an identity at a time")
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ValueError(f"n must be an integer >= 1, got {n!r}")
-    env: Dict[str, int] = {"n": n}
+    env: Env = {"n": n}
     if bindings:
         for name, value in bindings.items():
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ValueError(f"binding {name!r} must be an integer")
             env[name] = value
-    value = _ev(ast, env)
+    value = _ev(ast, env, {})
     if isinstance(value, FactoredFrac):
         return value.to_bifrac()
     return BiFrac.from_rational(value)

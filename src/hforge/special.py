@@ -8,7 +8,9 @@ integer-shifted arguments collapse to finite telescoping sums
     psi(s+a) - psi(s+b)   =  sum_{j=b}^{a-1}  1/(s+j)
     psi'(s+a) - psi'(s+b) = -sum_{j=b}^{a-1}  1/(s+j)^2
 
-so no transcendental constant is ever materialized.
+so no transcendental constant is ever materialized.  The ``*_factor``
+builders wrap those values as :class:`~hforge.bivar.FactoredFrac` with
+the ``(s+j)`` poles kept as shared denominator factors.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import math
 import threading
 from fractions import Fraction
 
+from .bivar import FactoredFrac
 from .exact import Poly, RatFunc
 
 
@@ -134,6 +137,21 @@ def psi1_diff(a: int, b: int) -> RatFunc:
         lin = Poly.linear(j)
         acc = acc - RatFunc(Poly.one(), lin * lin)
     return acc
+
+
+def binom_factor(shift: int, k: int) -> FactoredFrac:
+    """C(s+shift, k) as a polynomial factor in s."""
+    return FactoredFrac.from_ratfunc(binom_shift(shift, k))
+
+
+def psi_factor(a: int, b: int) -> FactoredFrac:
+    """psi(s+a) - psi(s+b) with the (s+j) poles kept as shared factors."""
+    return FactoredFrac.from_ratfunc(psi_diff(a, b), [(j, 1) for j in range(b, a)])
+
+
+def psi1_factor(a: int, b: int) -> FactoredFrac:
+    """psi'(s+a) - psi'(s+b) with squared (s+j) poles kept as factors."""
+    return FactoredFrac.from_ratfunc(psi1_diff(a, b), [(j, 2) for j in range(b, a)])
 
 
 def _check_oriented(a: int, b: int) -> None:

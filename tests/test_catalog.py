@@ -1,27 +1,32 @@
 """Identity catalog: entries, evaluation, and the verification engine."""
 
+import ast
+import os
+import re
+import subprocess
+import sys
+import types
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from hforge.bivar import BiFrac, BiPoly, bifrac_eq
+from hforge.bivar import bifrac_eq
 from hforge.catalog import (
-    IdentityEntry,
     ParamSpec,
-    binom_factor,
+    Side,
     eval_side,
     lookup,
-    onepx_pow,
     plan_cells,
-    psi1_factor,
-    psi_factor,
     tags,
     verify,
     verify_all,
-    xratio_pow,
 )
 from hforge.catalog import catalog as catalog_entries
-from hforge.special import binom_shift, psi1_diff, psi_diff
+from hforge.dsl import check, load_corpus
+from hforge.dsl import eval as dsl_eval
+
+ROOT = Path(__file__).resolve().parent.parent
 
 DOMAINS = {"Q", "Q(s)", "Q(x)", "Q(s,x)"}
 
@@ -65,6 +70,69 @@ class TestCatalogShape:
         assert e.expected_fail_variants == frozenset({"printed"})
 
 
+class TestStatements:
+    def test_every_side_is_expression_language_source(self):
+        for e in catalog_entries():
+            for side in (e.lhs, e.rhs, *e.rhs_variants.values()):
+                assert isinstance(side, Side)
+                assert isinstance(side.source, str) and side.source
+
+    def test_corpus_lines_restate_their_entries(self):
+        entries, issues = load_corpus(ROOT / "corpus" / "paper.ids")
+        assert not issues and len(entries) == 38
+        covered = set()
+        for ce in entries:
+            match = re.fullmatch(r"(.+?)\[m=(\d+)\]", ce.name)
+            tag = match.group(1) if match else ce.name
+            params = {"m": int(match.group(2))} if match else {}
+            entry = lookup(tag)
+            rhs = entry.rhs_for("corrected" if entry.rhs_variants else None)
+            identity = check(ce.identity)
+            assert not isinstance(identity, list), ce.name
+            for n in range(1, 5):
+                where = (ce.name, n)
+                assert bifrac_eq(dsl_eval(identity.lhs, n), entry.lhs(n, params)), where
+                assert bifrac_eq(dsl_eval(identity.rhs, n), rhs(n, params)), where
+            covered.add(tag)
+        assert covered == set(tags())
+
+    def test_bad_statements_are_reported_on_first_use(self):
+        with pytest.raises(ValueError, match="bad statement"):
+            Side("H(n")(1)
+        with pytest.raises(ValueError, match="unbound variable 'm'"):
+            Side("m*n")(1)
+        assert Side("m*n", ("m",))(2, {"m": 3}).as_constant() == 6
+
+    def test_importing_the_package_does_not_load_the_language(self):
+        code = "import sys, hforge; print('hforge.dsl' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        )
+        assert out.stdout.strip() == "False"
+
+    def test_language_does_not_import_the_catalog(self):
+        for path in (ROOT / "src" / "hforge" / "dsl").glob("*.py"):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""] + [a.name for a in node.names]
+                elif isinstance(node, ast.Import):
+                    names = [a.name for a in node.names]
+                else:
+                    continue
+                assert not any("catalog" in name for name in names), path.name
+
+    def test_submodule_is_not_shadowed_by_the_package_root(self):
+        import hforge.catalog as module
+
+        assert isinstance(module, types.ModuleType)
+        assert module.catalog is catalog_entries
+
+
 class TestValidation:
     def test_n_below_minimum(self):
         with pytest.raises(ValueError):
@@ -93,30 +161,6 @@ class TestValidation:
             lookup("INTRO-2").rhs_for("misremembered")
         with pytest.raises(ValueError):
             lookup("ID-5").rhs_for("corrected")
-
-
-class TestFactorHelpers:
-    def test_binom_factor_matches_univariate(self):
-        for a in (-1, 0, 2):
-            for k in range(0, 5):
-                got = binom_factor(a, k).to_bifrac()
-                want = BiFrac.from_ratfunc(binom_shift(a, k))
-                assert bifrac_eq(got, want)
-
-    def test_psi_factors_match_univariate(self):
-        for a in range(0, 6):
-            got = psi_factor(a, 0).to_bifrac()
-            assert bifrac_eq(got, BiFrac.from_ratfunc(psi_diff(a, 0)))
-            got1 = psi1_factor(a, 0).to_bifrac()
-            assert bifrac_eq(got1, BiFrac.from_ratfunc(psi1_diff(a, 0)))
-
-    def test_x_side_helpers(self):
-        one_px = BiPoly.x() + 1
-        assert bifrac_eq(onepx_pow(3).to_bifrac(), BiFrac(one_px ** 3, BiPoly.one()))
-        assert bifrac_eq(onepx_pow(-2).to_bifrac(), BiFrac(BiPoly.one(), one_px ** 2))
-        assert bifrac_eq(
-            xratio_pow(2).to_bifrac(), BiFrac(BiPoly.x(2), one_px ** 2)
-        )
 
 
 class TestSpotValues:
@@ -195,6 +239,14 @@ class TestVerify:
         assert capped and max(r.n for r in capped) == 2
         rest = [r for r in report.rows if r.id not in two_var]
         assert max(r.n for r in rest) == 3
+
+    def test_verify_all_takes_tags_in_order_and_an_m_grid(self):
+        report = verify_all(2, tags=["ID-13", "ID-5"], m_grid=[2, 5])
+        assert [(r.id, r.n, r.params.get("m")) for r in report.rows] == [
+            ("ID-13", 1, 2), ("ID-13", 1, 5), ("ID-13", 2, 2), ("ID-13", 2, 5),
+            ("ID-5", 1, None), ("ID-5", 2, None),
+        ]
+        assert report.all_ok()
 
     def test_verify_all_rejects_bad_bounds(self):
         with pytest.raises(ValueError):

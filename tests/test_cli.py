@@ -227,6 +227,14 @@ class TestBenchCommand:
             "ID-13[m=2]", "ID-13[m=3]", "ID-13[m=4]", "ID-13[m=5]"
         }
 
+    def test_bivariate_cap_applies(self, runner):
+        r = invoke(
+            runner, "bench", "--id", "THM-2.4", "--n-min", "16", "--n-max", "16",
+            "--format", "csv",
+        )
+        assert r.exit_code == 0
+        assert r.output.splitlines() == ["id,n,workers,memo,nanos"]
+
     def test_text_format_has_a_header(self, runner):
         r = invoke(runner, "bench", "--id", "ID-5", "--n-max", "1")
         assert r.exit_code == 0

@@ -29,6 +29,7 @@ from hforge.dsl import (
     parse_expr,
     pretty_print,
 )
+from hforge.bivar import FactoredFrac
 from hforge.dsl import eval as dsl_eval
 from hforge.special import harmonic
 
@@ -184,6 +185,15 @@ class TestChecker:
         ast = ok(check(ok(parse_expr("sum(k=1..n, H(k))"))))
         assert ast.domain == "rational"
 
+    def test_declared_parameters_are_integers(self):
+        node = ok(check(ok(parse_expr("C(m*n, n)/m")), params=("m",)))
+        assert node.domain == "rational"
+        assert diags(check(ok(parse_expr("C(m*n, n)")))) == [
+            ((2, 3), "unbound variable 'm'")
+        ]
+        with pytest.raises(ValueError):
+            check(ok(parse_expr("s")), params=("s",))
+
     def test_identity_checks_both_sides(self):
         got = check(ok(parse("H(y) == z")))
         msgs = sorted(m for _, m in diags(got))
@@ -230,6 +240,28 @@ class TestEvaluator:
             dsl_eval(ok(parse("H(n) == n")), 1)
         with pytest.raises(ValueError):
             dsl_eval(ok(parse_expr("H(n)")), 0)
+
+    def test_builtin_calls_are_shared_within_one_evaluation(self, monkeypatch):
+        from hforge.dsl import evaluator
+
+        calls = []
+        real = evaluator.psi_factor
+
+        def counting(a, b):
+            calls.append((a, b))
+            return real(a, b)
+
+        monkeypatch.setattr(evaluator, "psi_factor", counting)
+        ast = ok(check(ok(parse_expr("sum(k=1..n, PSID(n,1)^2 + s*PSID(k,1))"))))
+        plain = dsl_eval(ast, 3)
+        assert sorted(calls) == [(1, 1), (2, 1), (3, 1)]
+        dsl_eval(ast, 3)
+        assert len(calls) == 6
+        want = sum(
+            (real(3, 1) ** 2 + real(k, 1) * FactoredFrac.var_s() for k in (1, 2, 3)),
+            FactoredFrac.from_scalar(0),
+        )
+        assert plain == want.to_bifrac()
 
     def test_factored_denominators_survive_nesting(self):
         v = dsl_eval(ok(parse_expr("sum(k=1..n, 1/(k*(1+x)^k))")), 2)

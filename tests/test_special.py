@@ -1,13 +1,16 @@
-"""Harmonic numbers, integer and shifted binomials, digamma differences."""
+"""Harmonic numbers, integer and shifted binomials, digamma differences,
+and their factored-fraction builders."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
+from hforge.bivar import BiFrac, bifrac_eq
 from hforge.exact import Poly, RatFunc
 from hforge.special import (
     HarmonicCache,
+    binom_factor,
     binom_int,
     binom_neg3half,
     binom_shift,
@@ -15,7 +18,9 @@ from hforge.special import (
     harmonic_gen,
     memoization_enabled,
     psi1_diff,
+    psi1_factor,
     psi_diff,
+    psi_factor,
     set_memoization,
 )
 
@@ -161,6 +166,22 @@ class TestPsiDifferences:
         for a in range(0, 8):
             for b in range(0, a + 1):
                 assert psi_diff(a, b).derivative() == psi1_diff(a, b)
+
+
+class TestFactorHelpers:
+    def test_binom_factor_matches_univariate(self):
+        for a in (-1, 0, 2):
+            for k in range(0, 5):
+                got = binom_factor(a, k).to_bifrac()
+                want = BiFrac.from_ratfunc(binom_shift(a, k))
+                assert bifrac_eq(got, want)
+
+    def test_psi_factors_match_univariate(self):
+        for a in range(0, 6):
+            got = psi_factor(a, 0).to_bifrac()
+            assert bifrac_eq(got, BiFrac.from_ratfunc(psi_diff(a, 0)))
+            got1 = psi1_factor(a, 0).to_bifrac()
+            assert bifrac_eq(got1, BiFrac.from_ratfunc(psi1_diff(a, 0)))
 
 
 class TestHalfIntegerValues:
