@@ -17,6 +17,7 @@ from typing import Mapping, Sequence
 
 from .bivar import BiFrac, bifrac_eq
 from .report import Report, ReportRow, make_witness
+from .special import memoization_enabled, set_memoization
 
 # Unused here; the tracer in perfbench/spans.py patches these names in
 # this module, so they stay importable from it.
@@ -633,7 +634,13 @@ def verify_all(
 def _execute(cells: list[tuple], workers: int) -> Report:
     report = Report()
     if workers > 1 and len(cells) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # Workers get the memo setting explicitly: under ``spawn`` they do
+        # not inherit this process's module globals.
+        with ProcessPoolExecutor(
+            max_workers=workers,
+            initializer=set_memoization,
+            initargs=(memoization_enabled(),),
+        ) as pool:
             for row in pool.map(_cell_args, cells, chunksize=1):
                 report.add(row)
     else:

@@ -45,10 +45,6 @@ from .nodes import (
 
 Value = Union[int, Fraction, FactoredFrac]
 Env = Dict[str, int]
-# Builtin results by (name, *integer arguments), shared by every node of
-# one top-level evaluation: a side that calls PSID(k+1,1) twice per term
-# builds it once.
-Cache = Dict[tuple, Value]
 
 
 class EvalError(Exception):
@@ -64,7 +60,7 @@ def _scalar(v: Value) -> bool:
     return isinstance(v, (int, Fraction))
 
 
-def _ev(node: Expr, env: Env, cache: Cache) -> Value:
+def _ev(node: Expr, env: Env) -> Value:
     if isinstance(node, IntLit):
         return node.value
     if isinstance(node, RatLit):
@@ -79,26 +75,26 @@ def _ev(node: Expr, env: Env, cache: Cache) -> Value:
             return FactoredFrac.var_x()
         raise EvalError(f"unbound variable {node.name!r}", node.span)
     if isinstance(node, Neg):
-        return -_ev(node.child, env, cache)
+        return -_ev(node.child, env)
     if isinstance(node, Add):
-        return _ev(node.left, env, cache) + _ev(node.right, env, cache)
+        return _ev(node.left, env) + _ev(node.right, env)
     if isinstance(node, Sub):
-        return _ev(node.left, env, cache) - _ev(node.right, env, cache)
+        return _ev(node.left, env) - _ev(node.right, env)
     if isinstance(node, Mul):
-        return _ev(node.left, env, cache) * _ev(node.right, env, cache)
+        return _ev(node.left, env) * _ev(node.right, env)
     if isinstance(node, Div):
-        numer = _ev(node.left, env, cache)
-        inverse = _ev_inverse(node.right, env, cache)
+        numer = _ev(node.left, env)
+        inverse = _ev_inverse(node.right, env)
         if _scalar(numer) and _scalar(inverse):
             return Fraction(numer) * Fraction(inverse)
         return numer * inverse
     if isinstance(node, Pow):
-        e = _ev(node.exponent, env, cache)
+        e = _ev(node.exponent, env)
         if not isinstance(e, int):
             raise EvalError(
                 "exponent did not evaluate to an integer", node.exponent.span
             )
-        base = _ev(node.base, env, cache)
+        base = _ev(node.base, env)
         if _scalar(base):
             if e >= 0:
                 return base ** e
@@ -114,8 +110,8 @@ def _ev(node: Expr, env: Env, cache: Cache) -> Value:
                 "zero cannot be raised to a negative power", node.span
             ) from None
     if isinstance(node, Sum):
-        lo = _ev(node.lo, env, cache)
-        hi = _ev(node.hi, env, cache)
+        lo = _ev(node.lo, env)
+        hi = _ev(node.hi, env)
         if not isinstance(lo, int) or not isinstance(hi, int):
             raise EvalError(
                 "sum bounds did not evaluate to integers", node.span
@@ -124,40 +120,40 @@ def _ev(node: Expr, env: Env, cache: Cache) -> Value:
         inner = dict(env)
         for j in range(lo, hi + 1):
             inner[node.binder] = j
-            acc = acc + _ev(node.body, inner, cache)
+            acc = acc + _ev(node.body, inner)
         return acc
     if isinstance(node, Call):
-        return _ev_call(node, env, cache)
+        return _ev_call(node, env)
     raise EvalError(f"cannot evaluate {type(node).__name__}", node.span)
 
 
-def _ev_inverse(node: Expr, env: Env, cache: Cache) -> Value:
+def _ev_inverse(node: Expr, env: Env) -> Value:
     """Evaluate 1/node, descending products and powers so denominator
     factors like (1+x)^k stay structurally shared."""
     if isinstance(node, Mul):
-        return _ev_inverse(node.left, env, cache) * _ev_inverse(node.right, env, cache)
+        return _ev_inverse(node.left, env) * _ev_inverse(node.right, env)
     if isinstance(node, Div):
-        right = _ev(node.right, env, cache)
+        right = _ev(node.right, env)
         if _scalar(right) and right == 0 or (
             isinstance(right, FactoredFrac) and right.is_zero()
         ):
             raise EvalError("division by zero", node.right.span)
-        return _ev_inverse(node.left, env, cache) * right
+        return _ev_inverse(node.left, env) * right
     if isinstance(node, Neg):
-        return -_ev_inverse(node.child, env, cache)
+        return -_ev_inverse(node.child, env)
     if isinstance(node, Pow):
-        e = _ev(node.exponent, env, cache)
+        e = _ev(node.exponent, env)
         if not isinstance(e, int):
             raise EvalError(
                 "exponent did not evaluate to an integer", node.exponent.span
             )
         if e == 0:
             return 1
-        base_inv = _ev_inverse(node.base, env, cache)
+        base_inv = _ev_inverse(node.base, env)
         if _scalar(base_inv):
             return Fraction(base_inv) ** e
         return base_inv ** e
-    value = _ev(node, env, cache)
+    value = _ev(node, env)
     if _scalar(value):
         if value == 0:
             raise EvalError("division by zero", node.span)
@@ -174,10 +170,10 @@ def _ev_inverse(node: Expr, env: Env, cache: Cache) -> Value:
         ) from None
 
 
-def _int_args(node: Call, env: Env, cache: Cache) -> list[int]:
+def _int_args(node: Call, env: Env) -> list[int]:
     vals = []
     for arg in node.args:
-        v = _ev(arg, env, cache)
+        v = _ev(arg, env)
         if not isinstance(v, int):
             raise EvalError(
                 f"argument of {node.func} did not evaluate to an integer",
@@ -187,16 +183,8 @@ def _int_args(node: Call, env: Env, cache: Cache) -> list[int]:
     return vals
 
 
-def _ev_call(node: Call, env: Env, cache: Cache) -> Value:
-    args = _int_args(node, env, cache)
-    key = (node.func, *args)
-    value = cache.get(key)
-    if value is None:
-        value = cache[key] = _builtin(node, args)
-    return value
-
-
-def _builtin(node: Call, args: list[int]) -> Value:
+def _ev_call(node: Call, env: Env) -> Value:
+    args = _int_args(node, env)
     try:
         if node.func == "H":
             return harmonic(args[0])
@@ -229,7 +217,7 @@ def eval(
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ValueError(f"binding {name!r} must be an integer")
             env[name] = value
-    value = _ev(ast, env, {})
+    value = _ev(ast, env)
     if isinstance(value, FactoredFrac):
         return value.to_bifrac()
     return BiFrac.from_rational(value)

@@ -8,18 +8,29 @@ integer-shifted arguments collapse to finite telescoping sums
     psi(s+a) - psi(s+b)   =  sum_{j=b}^{a-1}  1/(s+j)
     psi'(s+a) - psi'(s+b) = -sum_{j=b}^{a-1}  1/(s+j)^2
 
-so no transcendental constant is ever materialized.  The ``*_factor``
-builders wrap those values as :class:`~hforge.bivar.FactoredFrac` with
-the ``(s+j)`` poles kept as shared denominator factors.
+so no transcendental constant is ever materialized.  ``psi_diff`` and
+``psi1_diff`` sum those terms as reduced ``RatFunc`` values.
+
+The ``*_factor`` builders give the same values as
+:class:`~hforge.bivar.FactoredFrac` with the ``(s+j)`` poles kept as shared
+denominator factors.  ``psi_factor``/``psi1_factor`` build that form
+directly: the numerator ``sign * sum_j prod_{i != j} (s+i)^m`` comes from
+integer telescoping ``N <- N*(s+j)^m + D``, ``D <- D*(s+j)^m``, with no
+gcd and no division.  It is already reduced, because every pole is
+distinct and has a nonzero residue.  While memoization is on, all three
+builders are memoized process-wide; their values are never mutated, so
+one value is shared by every cell and side that asks for it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from fractions import Fraction
+from typing import NamedTuple
 
-from .bivar import FactoredFrac
+from .bivar import BiPoly, FactoredFrac
 from .exact import Poly, RatFunc
 
 
@@ -58,9 +69,15 @@ _memoized = True
 
 
 def set_memoization(enabled: bool) -> None:
-    """Toggle the harmonic memo table (used by benchmarking)."""
-    global _memoized
+    """Toggle the harmonic table and the factor memo (used by benchmarking).
+
+    Either way both are emptied, so a sweep that follows starts cold.
+    """
+    global _memoized, _cache
     _memoized = bool(enabled)
+    _cache = HarmonicCache()
+    for builder in _FACTOR_MEMOS:
+        builder.cache_clear()
 
 
 def memoization_enabled() -> bool:
@@ -106,10 +123,7 @@ def binom_shift(a: int, k: int) -> RatFunc:
     A polynomial of degree exactly k in s (returned as a rational function
     with denominator one).  ``a`` may be negative.
     """
-    if not isinstance(a, int):
-        raise ValueError(f"shift must be an integer, got {a!r}")
-    if not isinstance(k, int) or k < 0:
-        raise ValueError(f"binomial bottom must be a nonnegative integer, got {k!r}")
+    _check_binom(a, k)
     num = Poly.one()
     for j in range(1, k + 1):
         num = num * Poly.linear(a - k + j)
@@ -141,17 +155,85 @@ def psi1_diff(a: int, b: int) -> RatFunc:
 
 def binom_factor(shift: int, k: int) -> FactoredFrac:
     """C(s+shift, k) as a polynomial factor in s."""
-    return FactoredFrac.from_ratfunc(binom_shift(shift, k))
+    _check_binom(shift, k)
+    if _memoized:
+        return _binom_factor_memo(shift, k)
+    return _binom_factor_build(shift, k)
 
 
 def psi_factor(a: int, b: int) -> FactoredFrac:
     """psi(s+a) - psi(s+b) with the (s+j) poles kept as shared factors."""
-    return FactoredFrac.from_ratfunc(psi_diff(a, b), [(j, 1) for j in range(b, a)])
+    _check_oriented(a, b)
+    if _memoized:
+        return _psi_factor_memo(a, b, 1)
+    return _psi_factor_build(a, b, 1)
 
 
 def psi1_factor(a: int, b: int) -> FactoredFrac:
     """psi'(s+a) - psi'(s+b) with squared (s+j) poles kept as factors."""
-    return FactoredFrac.from_ratfunc(psi1_diff(a, b), [(j, 2) for j in range(b, a)])
+    _check_oriented(a, b)
+    if _memoized:
+        return _psi_factor_memo(a, b, 2)
+    return _psi_factor_build(a, b, 2)
+
+
+def _binom_factor_build(shift: int, k: int) -> FactoredFrac:
+    return FactoredFrac.from_ratfunc(binom_shift(shift, k))
+
+
+def _psi_factor_build(a: int, b: int, m: int) -> FactoredFrac:
+    """sign * sum_{j=b}^{a-1} 1/(s+j)^m, sign -1 for m == 2, in factored form."""
+    num, den = [0], [1]  # integer coefficients in s, lowest degree first
+    for j in range(b, a):
+        # num/den + 1/(s+j)^m = (num*(s+j)^m + den) / (den*(s+j)^m)
+        for _ in range(m):
+            num = _times_linear(num, j)
+        for i, c in enumerate(den):
+            num[i] += c
+        for _ in range(m):
+            den = _times_linear(den, j)
+    if m == 2:
+        num = [-c for c in num]
+    factors = [(BiPoly.from_s_poly(Poly.linear(j)), m) for j in range(b, a)]
+    return FactoredFrac(BiPoly.from_s_poly(Poly(num)), factors)
+
+
+def _times_linear(coeffs: list[int], j: int) -> list[int]:
+    """Coefficients of p(s) * (s + j), lowest degree first."""
+    out = [j * c for c in coeffs] + [0]
+    for i, c in enumerate(coeffs):
+        out[i + 1] += c
+    return out
+
+
+_binom_factor_memo = functools.lru_cache(maxsize=None)(_binom_factor_build)
+_psi_factor_memo = functools.lru_cache(maxsize=None)(_psi_factor_build)
+_FACTOR_MEMOS = (_binom_factor_memo, _psi_factor_memo)
+
+
+class MemoInfo(NamedTuple):
+    """Counts of a memo table since it was last emptied."""
+
+    hits: int
+    misses: int
+    size: int
+
+
+def factor_memo_info() -> MemoInfo:
+    """Hit, miss and entry counts of the factor memo, summed over CS/PSID/PSI1D."""
+    infos = [builder.cache_info() for builder in _FACTOR_MEMOS]
+    return MemoInfo(
+        hits=sum(i.hits for i in infos),
+        misses=sum(i.misses for i in infos),
+        size=sum(i.currsize for i in infos),
+    )
+
+
+def _check_binom(a: int, k: int) -> None:
+    if not isinstance(a, int):
+        raise ValueError(f"shift must be an integer, got {a!r}")
+    if not isinstance(k, int) or k < 0:
+        raise ValueError(f"binomial bottom must be a nonnegative integer, got {k!r}")
 
 
 def _check_oriented(a: int, b: int) -> None:

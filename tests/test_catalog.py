@@ -1,11 +1,14 @@
 """Identity catalog: entries, evaluation, and the verification engine."""
 
 import ast
+import dataclasses
+import multiprocessing
 import os
 import re
 import subprocess
 import sys
 import types
+from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
@@ -25,6 +28,7 @@ from hforge.catalog import (
 from hforge.catalog import catalog as catalog_entries
 from hforge.dsl import check, load_corpus
 from hforge.dsl import eval as dsl_eval
+from hforge.special import memoization_enabled, set_memoization
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -225,6 +229,29 @@ class TestVerify:
         parallel = verify(lookup("ID-12"), range(1, 5), workers=2)
         strip = lambda rep: [(r.id, r.n, r.passed) for r in rep.rows]
         assert strip(serial) == strip(parallel)
+
+    def test_memo_setting_reaches_spawned_workers(self, monkeypatch):
+        from hforge import catalog
+
+        seen = []
+
+        class SpawnPool(ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                ctx = multiprocessing.get_context("spawn")
+                super().__init__(*args, mp_context=ctx, **kwargs)
+                seen.append(self.submit(memoization_enabled).result(timeout=120))
+
+        monkeypatch.setattr(catalog, "ProcessPoolExecutor", SpawnPool)
+        try:
+            set_memoization(False)
+            serial = verify_all(4, workers=1)
+            spawned = verify_all(4, workers=2)
+        finally:
+            set_memoization(True)
+        assert seen == [False]
+        assert [dataclasses.replace(r, elapsed_ns=0) for r in spawned.rows] == [
+            dataclasses.replace(r, elapsed_ns=0) for r in serial.rows
+        ]
 
     def test_catalog_sweep_small(self):
         report = verify_all(2)

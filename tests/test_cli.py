@@ -235,6 +235,29 @@ class TestBenchCommand:
         assert r.exit_code == 0
         assert r.output.splitlines() == ["id,n,workers,memo,nanos"]
 
+    def test_each_sweep_starts_with_cold_tables(self, runner, monkeypatch):
+        from hforge import cli
+        from hforge.special import factor_memo_info
+
+        seen = []
+        real = cli.verify_all
+
+        def recording(*args, **kwargs):
+            before = factor_memo_info()
+            report = real(*args, **kwargs)
+            seen.append((before, factor_memo_info()))
+            return report
+
+        monkeypatch.setattr(cli, "verify_all", recording)
+        r = invoke(
+            runner, "bench", "--id", "THM-2.11", "--n-max", "3",
+            "--workers", "1,1", "--memo", "on", "--format", "csv",
+        )
+        assert r.exit_code == 0
+        (before1, after1), (before2, after2) = seen
+        assert before1.misses == before2.misses == 0
+        assert after1.misses == after2.misses > 0
+
     def test_text_format_has_a_header(self, runner):
         r = invoke(runner, "bench", "--id", "ID-5", "--n-max", "1")
         assert r.exit_code == 0

@@ -31,7 +31,7 @@ from hforge.dsl import (
 )
 from hforge.bivar import FactoredFrac
 from hforge.dsl import eval as dsl_eval
-from hforge.special import harmonic
+from hforge.special import factor_memo_info, harmonic, psi_factor, set_memoization
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus" / "paper.ids"
 
@@ -241,24 +241,17 @@ class TestEvaluator:
         with pytest.raises(ValueError):
             dsl_eval(ok(parse_expr("H(n)")), 0)
 
-    def test_builtin_calls_are_shared_within_one_evaluation(self, monkeypatch):
-        from hforge.dsl import evaluator
-
-        calls = []
-        real = evaluator.psi_factor
-
-        def counting(a, b):
-            calls.append((a, b))
-            return real(a, b)
-
-        monkeypatch.setattr(evaluator, "psi_factor", counting)
+    def test_builtin_calls_are_built_once_across_evaluations(self):
+        set_memoization(True)
         ast = ok(check(ok(parse_expr("sum(k=1..n, PSID(n,1)^2 + s*PSID(k,1))"))))
         plain = dsl_eval(ast, 3)
-        assert sorted(calls) == [(1, 1), (2, 1), (3, 1)]
-        dsl_eval(ast, 3)
-        assert len(calls) == 6
+        # PSID(1,1), PSID(2,1), PSID(3,1): six calls, three builds
+        assert factor_memo_info() == (3, 3, 3)
+        assert dsl_eval(ast, 3) == plain
+        assert factor_memo_info() == (9, 3, 3)
         want = sum(
-            (real(3, 1) ** 2 + real(k, 1) * FactoredFrac.var_s() for k in (1, 2, 3)),
+            (psi_factor(3, 1) ** 2 + psi_factor(k, 1) * FactoredFrac.var_s()
+             for k in (1, 2, 3)),
             FactoredFrac.from_scalar(0),
         )
         assert plain == want.to_bifrac()

@@ -1,12 +1,15 @@
 """Harmonic numbers, integer and shifted binomials, digamma differences,
 and their factored-fraction builders."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 
-from hforge.bivar import BiFrac, bifrac_eq
+from hforge import special
+from hforge.bivar import BiFrac, FactoredFrac, bifrac_eq
+from hforge.catalog import verify_all
 from hforge.exact import Poly, RatFunc
 from hforge.special import (
     HarmonicCache,
@@ -14,6 +17,7 @@ from hforge.special import (
     binom_int,
     binom_neg3half,
     binom_shift,
+    factor_memo_info,
     harmonic,
     harmonic_gen,
     memoization_enabled,
@@ -63,6 +67,16 @@ class TestMemoization:
         finally:
             set_memoization(True)
         assert memoization_enabled()
+
+    def test_toggle_empties_both_tables(self):
+        set_memoization(True)
+        harmonic(30)
+        psi_factor(5, 0)
+        binom_factor(2, 3)
+        assert factor_memo_info().size > 0
+        set_memoization(True)
+        assert factor_memo_info() == (0, 0, 0)
+        assert len(special._cache) == 1
 
     def test_cache_extends_on_demand(self):
         cache = HarmonicCache()
@@ -182,6 +196,82 @@ class TestFactorHelpers:
             assert bifrac_eq(got, BiFrac.from_ratfunc(psi_diff(a, 0)))
             got1 = psi1_factor(a, 0).to_bifrac()
             assert bifrac_eq(got1, BiFrac.from_ratfunc(psi1_diff(a, 0)))
+
+
+def _same_terms(got: FactoredFrac, want: FactoredFrac) -> bool:
+    return got.num.terms == want.num.terms and got.den == want.den
+
+
+def _strip_timing(report):
+    return [dataclasses.replace(row, elapsed_ns=0) for row in report.rows]
+
+
+class TestDirectFactors:
+    """The direct factored builders against the RatFunc route they replace."""
+
+    def test_psi_factors_equal_the_ratfunc_route_term_for_term(self):
+        for a in range(0, 27):
+            for b in range(0, a + 1):
+                roots = [(j, 1) for j in range(b, a)]
+                want = FactoredFrac.from_ratfunc(psi_diff(a, b), roots)
+                assert _same_terms(psi_factor(a, b), want), (a, b)
+                roots = [(j, 2) for j in range(b, a)]
+                want = FactoredFrac.from_ratfunc(psi1_diff(a, b), roots)
+                assert _same_terms(psi1_factor(a, b), want), (a, b)
+
+    def test_binom_factor_equals_the_ratfunc_route(self):
+        for a in range(-4, 6):
+            for k in range(0, 9):
+                want = FactoredFrac.from_ratfunc(binom_shift(a, k))
+                assert _same_terms(binom_factor(a, k), want), (a, k)
+
+    def test_arguments_are_checked_before_the_memo(self):
+        psi_factor(3, 1)
+        binom_factor(2, 1)
+        with pytest.raises(ValueError):
+            psi_factor(1, 3)
+        with pytest.raises(ValueError):
+            psi1_factor(Fraction(3), 1)
+        with pytest.raises(ValueError):
+            binom_factor(Fraction(2), 1)
+        with pytest.raises(ValueError):
+            binom_factor(2, -1)
+
+
+class TestFactorMemo:
+    def test_a_repeated_sweep_adds_no_misses(self):
+        set_memoization(True)
+        verify_all(3, tags=["THM-2.11"])
+        first = factor_memo_info()
+        assert first.misses > 0 and first.size == first.misses
+        verify_all(3, tags=["THM-2.11"])
+        second = factor_memo_info()
+        assert second.misses == first.misses
+        assert second.size == first.size
+        assert second.hits > first.hits
+
+    def test_sweep_rows_agree_with_memoization_off(self):
+        try:
+            set_memoization(True)
+            on = _strip_timing(verify_all(8))
+            set_memoization(False)
+            off = _strip_timing(verify_all(8))
+            assert factor_memo_info() == (0, 0, 0)
+        finally:
+            set_memoization(True)
+        assert on == off
+
+    def test_memoized_values_survive_a_full_sweep(self):
+        set_memoization(True)
+        args = [(a, b) for a in range(0, 10) for b in range(0, a + 1)]
+        held = {ab: (psi_factor(*ab), psi1_factor(*ab)) for ab in args}
+        verify_all(6)
+        for (a, b), (psi, psi1) in held.items():
+            assert psi_factor(a, b) is psi and psi1_factor(a, b) is psi1
+            roots = [(j, 1) for j in range(b, a)]
+            assert _same_terms(psi, FactoredFrac.from_ratfunc(psi_diff(a, b), roots))
+            roots = [(j, 2) for j in range(b, a)]
+            assert _same_terms(psi1, FactoredFrac.from_ratfunc(psi1_diff(a, b), roots))
 
 
 class TestHalfIntegerValues:
