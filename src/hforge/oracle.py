@@ -12,11 +12,23 @@ Two oracles that share no evaluation code with the symbolic pipeline:
 
 The summation loops below are a second, independent transcription of
 each identity.  They intentionally bypass the catalog's evaluators and
-work in plain ``Fraction`` arithmetic.
+work in plain ``Fraction`` arithmetic; nothing here calls into ``dsl``,
+``bivar`` or ``exact``.
+
+Work that does not depend on x is done once.  At a sample value s,
+``_PointCtx`` keeps prefix sums of ``1/(s+j)`` and ``1/(s+j)^2`` and the
+binomials ``C(s+shift, k)``, grown on demand; while memoization is on
+(``special.set_memoization``), one context per integer s serves every
+cell of a sweep, and ``point_memo_info`` reports its use.  The sides of
+the bivariate theorems ask their context once per s-row for the x-free
+coefficient list of their sum (``row``) and evaluate it by Horner's rule
+at each x; those rows are dropped when the check leaves the s-row.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,61 +36,102 @@ from typing import Callable, Mapping
 
 from .catalog import IdentityEntry
 from .report import Report, ReportRow
-from .special import binom_int, harmonic, harmonic_gen
+from .special import (
+    MemoInfo,
+    binom_int,
+    harmonic,
+    harmonic_gen,
+    memoization_enabled,
+    register_memo,
+)
 
 Params = Mapping[str, int]
 
 
-class _PointCtx:
+class _Rows:
+    """The ``row`` helper of both contexts: a side's x-free coefficient
+    list, built once per key and kept in ``rows`` until the check that
+    owns the context drops it."""
+
+    __slots__ = ("rows",)
+
+    def row(self, key, build) -> list[Fraction]:
+        rows = self.rows
+        if key not in rows:
+            rows[key] = build()
+        return rows[key]
+
+
+class _PointCtx(_Rows):
     """Direct-summation primitives at one exact rational point s.
 
-    Values are memoized per context so a single s-row can be swept over
-    many x values without recomputing the s-only pieces.
+    ``psi`` and ``psi1`` are differences of the prefix sums
+    ``P1[j] = sum_{i<j} 1/(s+i)`` and ``P2[j] = sum_{i<j} 1/(s+i)^2``;
+    ``binom(shift, k)`` extends ``C(s+shift, k-1)`` by one factor.  The
+    three tables grow on demand (so s+i must be nonzero for every i below
+    the largest index asked for) and hold nothing that depends on x, n or
+    an identity, which is what lets one context serve every cell
+(``_point_ctx``).
     """
 
-    __slots__ = ("s", "_psi", "_psi1", "_binom")
+    __slots__ = ("s", "_p1", "_p2", "_binom")
 
     def __init__(self, s):
         self.s = Fraction(s)
-        self._psi: dict = {}
-        self._psi1: dict = {}
-        self._binom: dict = {}
+        self.rows = {}
+        self._p1 = [Fraction(0)]
+        self._p2 = [Fraction(0)]
+        self._binom: dict[int, list[Fraction]] = {}
 
     def psi(self, a: int, b: int) -> Fraction:
         """psi(s+a) - psi(s+b) for a >= b >= 0, as the finite sum of 1/(s+j)."""
-        key = (a, b)
-        if key not in self._psi:
-            s = self.s
-            self._psi[key] = sum((1 / (s + j) for j in range(b, a)), Fraction(0))
-        return self._psi[key]
+        p = self._p1
+        while len(p) <= a:
+            p.append(p[-1] + 1 / (self.s + len(p) - 1))
+        return p[a] - p[b]
 
     def psi1(self, a: int, b: int) -> Fraction:
         """psi'(s+a) - psi'(s+b) for a >= b >= 0."""
-        key = (a, b)
-        if key not in self._psi1:
-            s = self.s
-            self._psi1[key] = -sum(
-                (1 / (s + j) ** 2 for j in range(b, a)), Fraction(0)
-            )
-        return self._psi1[key]
+        p = self._p2
+        while len(p) <= a:
+            p.append(p[-1] + 1 / (self.s + len(p) - 1) ** 2)
+        return p[b] - p[a]
 
     def binom(self, shift: int, k: int) -> Fraction:
-        """C(s+shift, k) as the falling-factorial product."""
-        key = (shift, k)
-        if key not in self._binom:
-            s = self.s
-            v = Fraction(1)
-            for j in range(1, k + 1):
-                v = v * (s + shift - k + j) / j
-            self._binom[key] = v
-        return self._binom[key]
+        """C(s+shift, k) as the falling-factorial product, one factor per k."""
+        col = self._binom.get(shift)
+        if col is None:
+            col = self._binom[shift] = [Fraction(1)]
+        while len(col) <= k:
+            j = len(col)
+            col.append(col[-1] * (self.s + shift - j + 1) / j)
+        return col[k]
 
 
-class _IntegerSCtx:
+@register_memo
+@functools.lru_cache(maxsize=None)
+def _shared_point_ctx(s: int) -> _PointCtx:
+    return _PointCtx(s)
+
+
+def _point_ctx(s: int) -> _PointCtx:
+    """The context at sample value s: shared by every cell while
+    memoization is on, fresh for each s-row otherwise."""
+    return _shared_point_ctx(s) if memoization_enabled() else _PointCtx(s)
+
+
+def point_memo_info() -> MemoInfo:
+    """Hit, miss and entry counts of the per-s context memo."""
+    info = _shared_point_ctx.cache_info()
+    return MemoInfo(hits=info.hits, misses=info.misses, size=info.currsize)
+
+
+class _IntegerSCtx(_Rows):
     """Summation primitives at a nonnegative integer point s0.
 
     Digamma differences collapse to harmonic-number differences here, so
     this path exercises only Rational, harmonic, and binomial arithmetic.
+    One context, and its rows, lives for one ``integer_s_check`` call.
     """
 
     __slots__ = ("s0", "s")
@@ -88,6 +141,7 @@ class _IntegerSCtx:
             raise ValueError("s0 must be a nonnegative integer")
         self.s0 = s0
         self.s = Fraction(s0)
+        self.rows = {}
 
     def psi(self, a: int, b: int) -> Fraction:
         return harmonic(self.s0 + a - 1) - harmonic(self.s0 + b - 1)
@@ -107,6 +161,24 @@ class _IntegerSCtx:
         return v
 
 
+def _horner(coeffs: list[Fraction], x: Fraction, lo: int = 0) -> Fraction:
+    """sum_i coeffs[i] * x^(lo+i), by Horner's rule.
+
+    The rule runs on integers: with ``coeffs[i] = a_i / den`` over their
+    common denominator and x = p/q, step i of m adds ``a_i * q^(m-i)``, and
+    only the result is reduced.
+    """
+    # a list, not a generator: unpacking a generator here raised the
+    # oracle sweep's peak memory by about 1 MB under CPython 3.11
+    den = math.lcm(*[c.denominator for c in coeffs])
+    p, q = x.numerator, x.denominator
+    acc, qk = 0, 1
+    for c in reversed(coeffs):
+        acc = acc * p + c.numerator * (den // c.denominator) * qk
+        qk *= q
+    return Fraction(acc * p ** lo * q, den * qk * q ** lo)
+
+
 _H = harmonic
 
 
@@ -124,38 +196,38 @@ _C = binom_int
 
 
 def _t21_l(ctx, x, n, p):
-    return sum((ctx.binom(n, k) * x ** k for k in range(n + 1)), Fraction(0))
+    row = ctx.row(("t21_l", n), lambda: [ctx.binom(n, k) for k in range(n + 1)])
+    return _horner(row, x)
 
 
 def _t21_r(ctx, x, n, p):
     w = x / (1 + x)
-    inner = sum(
-        (ctx.binom(k, k) / (k + 1) * w ** (k + 1) for k in range(n)), Fraction(0)
+    row = ctx.row(
+        ("t21_r", n), lambda: [ctx.binom(k, k) / (k + 1) for k in range(n)]
     )
-    return (1 + x) ** n * (1 + ctx.s * inner)
+    return (1 + x) ** n * (1 + ctx.s * _horner(row, w, 1))
 
 
 def _t22_l(ctx, x, n, p):
-    return sum(
-        (
-            ctx.binom(n, k) * ctx.psi(n + 1, n - k + 1) * x ** k
-            for k in range(1, n + 1)
-        ),
-        Fraction(0),
+    row = ctx.row(
+        ("t22_l", n),
+        lambda: [
+            ctx.binom(n, k) * ctx.psi(n + 1, n - k + 1) for k in range(1, n + 1)
+        ],
     )
+    return _horner(row, x, 1)
 
 
 def _t22_r(ctx, x, n, p):
     w = x / (1 + x)
-    total = Fraction(0)
-    for k in range(n):
-        total += (
-            ctx.binom(k, k)
-            / (k + 1)
-            * (1 + ctx.s * ctx.psi(k + 1, 1))
-            * w ** (k + 1)
-        )
-    return (1 + x) ** n * total
+    row = ctx.row(
+        ("t22_r", n),
+        lambda: [
+            ctx.binom(k, k) / (k + 1) * (1 + ctx.s * ctx.psi(k + 1, 1))
+            for k in range(n)
+        ],
+    )
+    return (1 + x) ** n * _horner(row, w, 1)
 
 
 def _c23_l(ctx, x, n, p):
@@ -177,30 +249,30 @@ def _c23_r(ctx, x, n, p):
 
 
 def _t24_l(ctx, x, n, p):
-    return sum(
-        (
+    row = ctx.row(
+        ("t24_l", n),
+        lambda: [
             ctx.binom(n, k)
             * (ctx.psi(n + 1, n - k + 1) ** 2 + ctx.psi1(n + 1, n - k + 1))
-            * x ** k
             for k in range(n + 1)
-        ),
-        Fraction(0),
+        ],
+    )
+    return _horner(row, x)
+
+
+def _t24_coeff(ctx, k):
+    d = ctx.psi(k + 1, 1)
+    return (
+        ctx.binom(k, k)
+        / (k + 1)
+        * (2 * d + ctx.s * (d ** 2 + ctx.psi1(k + 1, 1)))
     )
 
 
 def _t24_r(ctx, x, n, p):
     w = x / (1 + x)
-    s = ctx.s
-    total = Fraction(0)
-    for k in range(n):
-        d = ctx.psi(k + 1, 1)
-        total += (
-            ctx.binom(k, k)
-            / (k + 1)
-            * (2 * d + s * (d ** 2 + ctx.psi1(k + 1, 1)))
-            * w ** (k + 1)
-        )
-    return (1 + x) ** n * total
+    row = ctx.row(("t24_r", n), lambda: [_t24_coeff(ctx, k) for k in range(n)])
+    return (1 + x) ** n * _horner(row, w, 1)
 
 
 def _c25_l(ctx, x, n, p):
@@ -736,7 +808,11 @@ class SampleCertificate:
 
 def degree_bound(entry: IdentityEntry, n: int) -> tuple[int, int]:
     """Safe (bound_s, bound_x) overestimates for the cross-multiplied
-    difference of the two sides; monotone in n."""
+    difference of the two sides; monotone in n.
+
+    Only a constant (domain Q) entry gets (0, 0) without a line of its
+    own: an s- or x-dependent entry missing here raises ``ValueError``
+    rather than being "proved" from a single point."""
     if n < entry.n_min:
         raise ValueError(f"n must be >= {entry.n_min} for {entry.tag}")
     tag = entry.tag
@@ -754,7 +830,9 @@ def degree_bound(entry: IdentityEntry, n: int) -> tuple[int, int]:
         return n + 2, 0
     if tag in ("ID-7", "ID-9"):
         return 0, 2 * n + 1
-    return 0, 0
+    if entry.domain == "Q":
+        return 0, 0
+    raise ValueError(f"no degree bound for {tag} over {entry.domain}")
 
 
 def sampling_verify(
@@ -772,13 +850,16 @@ def sampling_verify(
     points: list[tuple[Fraction, Fraction]] = []
     all_equal = True
     for sv in range(1, bs + 2):
-        ctx = _PointCtx(sv)
-        for xv in range(1, bx + 2):
-            x = Fraction(xv)
-            assert ctx.s > 0 and x > 0
-            points.append((ctx.s, x))
-            if lhs_fn(ctx, x, n, params) != rhs_fn(ctx, x, n, params):
-                all_equal = False
+        ctx = _point_ctx(sv)
+        try:
+            for xv in range(1, bx + 2):
+                x = Fraction(xv)
+                assert ctx.s > 0 and x > 0
+                points.append((ctx.s, x))
+                if lhs_fn(ctx, x, n, params) != rhs_fn(ctx, x, n, params):
+                    all_equal = False
+        finally:
+            ctx.rows.clear()
     assert len(points) >= (bs + 1) * (bx + 1)
     return SampleCertificate(
         id=entry.tag,

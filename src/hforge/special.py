@@ -19,7 +19,9 @@ integer telescoping ``N <- N*(s+j)^m + D``, ``D <- D*(s+j)^m``, with no
 gcd and no division.  It is already reduced, because every pole is
 distinct and has a nonzero residue.  While memoization is on, all three
 builders are memoized process-wide; their values are never mutated, so
-one value is shared by every cell and side that asks for it.
+one value is shared by every cell and side that asks for it.  Other
+modules put their own process-wide memos under the same switch with
+``register_memo``.
 """
 
 from __future__ import annotations
@@ -69,15 +71,16 @@ _memoized = True
 
 
 def set_memoization(enabled: bool) -> None:
-    """Toggle the harmonic table and the factor memo (used by benchmarking).
+    """Toggle the harmonic table and every registered memo (used by
+    benchmarking).
 
-    Either way both are emptied, so a sweep that follows starts cold.
+    Either way all of them are emptied, so a sweep that follows starts cold.
     """
     global _memoized, _cache
     _memoized = bool(enabled)
     _cache = HarmonicCache()
-    for builder in _FACTOR_MEMOS:
-        builder.cache_clear()
+    for memo in _MEMOS:
+        memo.cache_clear()
 
 
 def memoization_enabled() -> bool:
@@ -209,6 +212,17 @@ def _times_linear(coeffs: list[int], j: int) -> list[int]:
 _binom_factor_memo = functools.lru_cache(maxsize=None)(_binom_factor_build)
 _psi_factor_memo = functools.lru_cache(maxsize=None)(_psi_factor_build)
 _FACTOR_MEMOS = (_binom_factor_memo, _psi_factor_memo)
+# Every memo that set_memoization empties: the factor memo and the ones
+# other modules add with register_memo.
+_MEMOS = list(_FACTOR_MEMOS)
+
+
+def register_memo(memo):
+    """Put an ``lru_cache``-wrapped function under the memo switch, so that
+    ``set_memoization`` empties it too.  Returns ``memo``; usable as a
+    decorator."""
+    _MEMOS.append(memo)
+    return memo
 
 
 class MemoInfo(NamedTuple):

@@ -1,18 +1,144 @@
 """Numeric cross-checks that never touch the symbolic evaluators."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
+from hforge import oracle
 from hforge.catalog import catalog as catalog_entries
-from hforge.catalog import lookup
+from hforge.catalog import eval_side, lookup, plan_cells
 from hforge.oracle import (
     SampleCertificate,
     degree_bound,
     id13_family_check,
     integer_s_check,
+    point_memo_info,
     sampling_verify,
 )
+from hforge.special import set_memoization
+
+POINTS = (Fraction(1), Fraction(7), Fraction(53), Fraction(1, 3), Fraction(-5, 2))
+
+
+def _falling(s, shift, k):
+    v = Fraction(1)
+    for j in range(1, k + 1):
+        v = v * (s + shift - k + j) / j
+    return v
+
+
+class TestPointCtx:
+    def test_psi_and_psi1_match_the_direct_sums(self):
+        for s in POINTS:
+            ctx = oracle._PointCtx(s)
+            # largest a first, then every pair again: the prefix tables are
+            # read both right after growing and long after
+            pairs = [(a, b) for a in range(30, -1, -1) for b in range(a + 1)]
+            for a, b in pairs + pairs[::-1]:
+                terms = [1 / (s + j) for j in range(b, a)]
+                assert ctx.psi(a, b) == sum(terms, Fraction(0)), (s, a, b)
+                assert ctx.psi1(a, b) == -sum((t * t for t in terms), Fraction(0))
+
+    def test_binom_matches_the_falling_factorial(self):
+        for s in POINTS:
+            ctx = oracle._PointCtx(s)
+            keys = [(shift, k) for shift in range(-2, 13) for k in range(13)]
+            for shift, k in keys[::-1] + keys:
+                assert ctx.binom(shift, k) == _falling(s, shift, k), (s, shift, k)
+
+    def test_horner_matches_the_direct_sum(self):
+        coeffs = [Fraction(3, 7), Fraction(-5, 6), Fraction(0), Fraction(11, 4)]
+        for x in (Fraction(2), Fraction(-3, 5), Fraction(7, 8), Fraction(0)):
+            for lo in range(3):
+                for m in range(len(coeffs) + 1):
+                    want = sum(
+                        (c * x ** (lo + i) for i, c in enumerate(coeffs[:m])),
+                        Fraction(0),
+                    )
+                    assert oracle._horner(coeffs[:m], x, lo) == want
+
+    @pytest.mark.parametrize("tag", ["THM-2.1", "THM-2.2", "THM-2.4", "ID-7", "ID-9"])
+    def test_each_side_equals_the_catalog_side_at_its_sample_points(self, tag):
+        entry = lookup(tag)
+        lhs_fn, rhs_fn = oracle._sides(tag, None)
+        ctxs = {}
+        for n in range(1, 7):
+            lhs = eval_side(entry, "lhs", n)
+            rhs = eval_side(entry, "rhs", n)
+            for s, x in sampling_verify(entry, n).sample_points:
+                # one context per s across every n, so a row of one n
+                # must never answer for another
+                ctx = ctxs.setdefault(s, oracle._PointCtx(s))
+                assert lhs_fn(ctx, x, n, {}) == lhs.eval(s, x), (tag, n, s, x)
+                assert rhs_fn(ctx, x, n, {}) == rhs.eval(s, x), (tag, n, s, x)
+            if "s" in entry.domain:
+                for s0 in (1, 2, 5):
+                    ctx = oracle._IntegerSCtx(s0)
+                    for xv in range(1, degree_bound(entry, n)[1] + 2):
+                        x = Fraction(xv)
+                        assert lhs_fn(ctx, x, n, {}) == lhs.eval(s0, x)
+                        assert rhs_fn(ctx, x, n, {}) == rhs.eval(s0, x)
+
+
+def _oracle_sweep(n_max):
+    out = []
+    for e in catalog_entries():
+        for _, n, params, variant, _ in plan_cells(e, range(e.n_min, n_max + 1)):
+            cert = sampling_verify(e, n, params, variant=variant)
+            ints = ()
+            if "s" in e.domain:
+                ints = tuple(
+                    integer_s_check(e, n, s0, params, variant=variant)
+                    for s0 in (0, 1, 2, 5)
+                )
+            out.append((e.tag, n, sorted(params.items()), variant, cert, ints))
+    return out
+
+
+class TestPointMemo:
+    def test_sweep_agrees_with_memoization_off(self):
+        try:
+            set_memoization(True)
+            on = _oracle_sweep(10)
+            assert point_memo_info().size > 0
+            set_memoization(False)
+            off = _oracle_sweep(10)
+            assert point_memo_info() == (0, 0, 0)
+        finally:
+            set_memoization(True)
+        assert on == off
+        for *_, cert, _ in on:
+            bs, bx = cert.degree_bound
+            assert cert.point_count == (bs + 1) * (bx + 1)
+
+    def test_a_repeated_sweep_adds_no_misses(self):
+        set_memoization(True)
+        _oracle_sweep(4)
+        first = point_memo_info()
+        assert first.misses > 0 and first.size == first.misses
+        _oracle_sweep(4)
+        second = point_memo_info()
+        assert second.misses == first.misses and second.size == first.size
+        assert second.hits > first.hits
+
+    def test_the_switch_empties_the_memo(self):
+        try:
+            for enabled in (False, True):
+                set_memoization(True)
+                sampling_verify(lookup("THM-2.6"), 3)
+                assert point_memo_info().size == 6
+                set_memoization(enabled)
+                assert point_memo_info() == (0, 0, 0)
+        finally:
+            set_memoization(True)
+
+    def test_rows_do_not_outlive_a_check(self):
+        set_memoization(True)
+        sampling_verify(lookup("THM-2.4"), 3)
+        assert point_memo_info().size == 18
+        for s in range(1, 19):
+            assert oracle._point_ctx(s).rows == {}
 
 
 class TestDegreeBound:
@@ -35,6 +161,25 @@ class TestDegreeBound:
     def test_rejects_n_below_minimum(self):
         with pytest.raises(ValueError):
             degree_bound(lookup("ID-5"), 0)
+
+    def test_every_entry_has_a_bound(self):
+        for e in catalog_entries():
+            for n in range(e.n_min, e.n_min + 12):
+                degree_bound(e, n)
+
+    def test_an_unlisted_variable_entry_is_an_error(self):
+        for domain in ("Q(s)", "Q(x)", "Q(s,x)"):
+            synthetic = dataclasses.replace(
+                lookup("THM-2.6"), tag="THM-9.9", domain=domain
+            )
+            with pytest.raises(ValueError, match="THM-9.9"):
+                degree_bound(synthetic, 3)
+            with pytest.raises(ValueError, match="THM-9.9"):
+                sampling_verify(synthetic, 3)
+
+    def test_an_unlisted_constant_entry_needs_one_point(self):
+        synthetic = dataclasses.replace(lookup("ID-5"), tag="ID-99")
+        assert degree_bound(synthetic, 3) == (0, 0)
 
 
 class TestSamplingVerify:
