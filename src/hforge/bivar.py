@@ -1,23 +1,30 @@
 """Sparse bivariate polynomials in (x, s) and unreduced bivariate fractions.
 
-``BiPoly`` maps ``(x_degree, s_degree)`` pairs to nonzero rational
-coefficients.  ``BiFrac`` is a quotient of two ``BiPoly`` values that is
-*never* reduced by a multivariate gcd; equality is decided by
-cross-multiplication (``a/b == c/d`` iff ``a*d == c*b``), with only cheap
-opportunistic stripping of shared rational content and shared monomials.
+``BiPoly`` keeps every polynomial in content x primitive-part form (Knuth,
+TAOCP vol. 2, 4.6.1): a positive rational content times a dict from
+``(x_degree, s_degree)`` to coprime integers.  The form is unique, so
+equality and hashing are exact and cheap, and arithmetic runs on integers;
+the rational coefficients are a derived, cached, read-only ``terms`` view.
+``BiFrac`` is a quotient of two ``BiPoly`` values that is *never* reduced
+by a multivariate gcd; equality is decided by cross-multiplication
+(``a/b == c/d`` iff ``a*d == c*b``), with only cheap opportunistic
+stripping of shared rational content and shared monomials.
 
 ``FactoredFrac`` is the internal evaluation workhorse: a fraction whose
-denominator is kept as a list of (factor, multiplicity) pairs so that long
-summations can reuse structurally shared factors such as ``s + j`` and
-``x + 1`` instead of letting cross-multiplied denominators grow
-quadratically.  It converts to ``BiFrac`` for comparison.
+denominator is kept as an insertion-ordered ``{factor: multiplicity}``
+dict, so that long summations can reuse shared factors such as ``s + j``
+and ``x + 1``, found by hash lookup, instead of letting cross-multiplied
+denominators grow quadratically.  It converts to ``BiFrac`` for
+comparison.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from types import MappingProxyType
+from typing import Union
 
 from .exact import (
     Poly,
@@ -42,10 +49,39 @@ def _fgcd(a: Fraction, b: Fraction) -> Fraction:
     )
 
 
-class BiPoly:
-    """Sparse bivariate polynomial; no zero coefficients are stored."""
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
-    __slots__ = ("terms", "_intform", "_hash")
+
+def _primitive(scale: Fraction, ints: dict[Key, int]) -> tuple[Fraction, dict[Key, int]]:
+    """Canonical (content, primitive part) of ``scale * ints``.
+
+    ``ints`` holds no zero coefficients; the content comes out positive.
+    """
+    if not ints:
+        return _ZERO, {}
+    g = math.gcd(*ints.values())
+    if g != 1:
+        ints = {k: v // g for k, v in ints.items()}
+        scale = scale * g
+    if scale < 0:
+        return -scale, {k: -v for k, v in ints.items()}
+    return scale, ints
+
+
+class BiPoly:
+    """Sparse bivariate polynomial in content x primitive-part form.
+
+    A nonzero polynomial is ``_c * sum _t[k] x^i s^j`` with ``_c`` a positive
+    ``Fraction`` and ``_t`` a ``{(i, j): int}`` dict of nonzero coprime
+    integers; the zero polynomial has ``_c == 0`` and ``_t == {}``.  The form
+    is unique, so equality and hashing work on it directly.  Products
+    convolve the integer parts and multiply the contents: by Gauss's lemma
+    the product of primitive polynomials is primitive, so no gcd is taken.
+    ``terms`` is a cached read-only view of the rational coefficients.
+    """
+
+    __slots__ = ("_c", "_t", "_terms", "_hash")
 
     def __init__(self, terms: Mapping[Key, Union[int, Fraction]] = ()):
         clean: dict[Key, Fraction] = {}
@@ -60,85 +96,106 @@ class BiPoly:
                     clean[k] = nv
                 elif v is not None:
                     del clean[k]
-        self.terms: dict[Key, Fraction] = clean
-        self._intform = None
+        scale = math.lcm(*(c.denominator for c in clean.values()))
+        ints = {k: c.numerator * (scale // c.denominator) for k, c in clean.items()}
+        self._set(*_primitive(Fraction(1, scale), ints))
+
+    def _set(self, c: Fraction, t: dict[Key, int]) -> None:
+        self._c = c
+        self._t = t
+        self._terms = None
         self._hash = None
 
     @classmethod
-    def _raw(cls, terms: dict[Key, Fraction]) -> "BiPoly":
+    def _raw(cls, c: Fraction, t: dict[Key, int]) -> "BiPoly":
+        """Wrap a form that is already canonical: ``c > 0`` and ``t`` primitive."""
         out = cls.__new__(cls)
-        out.terms = terms
-        out._intform = None
-        out._hash = None
+        out._set(c, t)
         return out
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
+    def from_ints(cls, ints: Mapping[Key, int], scale=1) -> "BiPoly":
+        """``scale * sum ints[(i, j)] x^i s^j``; zero coefficients are dropped."""
+        scale = _as_fraction(scale)
+        if not scale:
+            return cls.zero()
+        return cls._raw(*_primitive(scale, {k: v for k, v in ints.items() if v}))
+
+    @classmethod
     def zero(cls) -> "BiPoly":
-        return cls._raw({})
+        return cls._raw(_ZERO, {})
 
     @classmethod
     def one(cls) -> "BiPoly":
-        return cls._raw({(0, 0): Fraction(1)})
+        return cls._raw(_ONE, {(0, 0): 1})
 
     @classmethod
     def const(cls, c) -> "BiPoly":
         c = _as_fraction(c)
-        return cls._raw({(0, 0): c} if c else {})
+        if not c:
+            return cls.zero()
+        return cls._raw(abs(c), {(0, 0): 1 if c > 0 else -1})
 
     @classmethod
     def x(cls, e: int = 1) -> "BiPoly":
-        return cls._raw({(e, 0): Fraction(1)})
+        return cls._raw(_ONE, {(e, 0): 1})
 
     @classmethod
     def s(cls, e: int = 1) -> "BiPoly":
-        return cls._raw({(0, e): Fraction(1)})
+        return cls._raw(_ONE, {(0, e): 1})
 
     @classmethod
     def from_s_poly(cls, p: Poly) -> "BiPoly":
-        return cls._raw({(0, j): c for j, c in enumerate(p.coeffs) if c})
+        return cls({(0, j): c for j, c in enumerate(p.coeffs)})
 
     @classmethod
     def from_x_poly(cls, p: Poly) -> "BiPoly":
-        return cls._raw({(i, 0): c for i, c in enumerate(p.coeffs) if c})
+        return cls({(i, 0): c for i, c in enumerate(p.coeffs)})
 
     # -- queries -----------------------------------------------------------
 
+    @property
+    def terms(self) -> Mapping[Key, Fraction]:
+        """Read-only ``{(x_degree, s_degree): Fraction}`` of the nonzero
+        coefficients, derived from the content and the integer part."""
+        if self._terms is None:
+            c = self._c
+            self._terms = {k: c * v for k, v in self._t.items()}
+        return MappingProxyType(self._terms)
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._t
 
     def is_constant(self) -> bool:
-        return not self.terms or (len(self.terms) == 1 and (0, 0) in self.terms)
+        t = self._t
+        return not t or (len(t) == 1 and (0, 0) in t)
 
     def as_constant(self) -> Fraction:
-        if not self.terms:
-            return Fraction(0)
+        if not self._t:
+            return _ZERO
         if self.is_constant():
-            return self.terms[(0, 0)]
+            return self._c * self._t[(0, 0)]
         raise ValueError("not a constant")
 
     @property
     def deg_x(self) -> int:
-        return max((k[0] for k in self.terms), default=-1)
+        return max((k[0] for k in self._t), default=-1)
 
     @property
     def deg_s(self) -> int:
-        return max((k[1] for k in self.terms), default=-1)
+        return max((k[1] for k in self._t), default=-1)
 
     def min_x(self) -> int:
-        return min((k[0] for k in self.terms), default=0)
+        return min((k[0] for k in self._t), default=0)
 
     def min_s(self) -> int:
-        return min((k[1] for k in self.terms), default=0)
+        return min((k[1] for k in self._t), default=0)
 
     def content(self) -> Fraction:
-        g = Fraction(0)
-        for c in self.terms.values():
-            g = _fgcd(g, c)
-            if g == 1:
-                break
-        return g
+        """Positive generator of the coefficients' Z-module (0 for zero)."""
+        return self._c
 
     # -- arithmetic --------------------------------------------------------
 
@@ -153,24 +210,42 @@ class BiPoly:
         o = self._promote(other)
         if o is None:
             return NotImplemented
-        if not self.terms:
+        if not self._t:
             return o
-        if not o.terms:
+        if not o._t:
             return self
-        out = dict(self.terms)
-        for k, c in o.terms.items():
-            v = out.get(k)
-            nv = c if v is None else v + c
-            if nv:
-                out[k] = nv
-            elif v is not None:
-                del out[k]
-        return BiPoly._raw(out)
+        ca, cb = self._c, o._c
+        if ca == cb:
+            scale, ma, mb = ca, 1, 1
+        else:
+            # ca*ta + cb*tb = (ma*ta + mb*tb) * h/L over the common denominator L
+            da, db = ca.denominator, cb.denominator
+            lcd = da // math.gcd(da, db) * db
+            ma = ca.numerator * (lcd // da)
+            mb = cb.numerator * (lcd // db)
+            h = math.gcd(ma, mb)
+            ma //= h
+            mb //= h
+            scale = Fraction(h, lcd)
+        out = dict(self._t) if ma == 1 else {k: ma * v for k, v in self._t.items()}
+        for k, v in o._t.items():
+            if mb != 1:
+                v *= mb
+            w = out.get(k)
+            if w is None:
+                out[k] = v
+            else:
+                w += v
+                if w:
+                    out[k] = w
+                else:
+                    del out[k]
+        return BiPoly._raw(*_primitive(scale, out))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return BiPoly._raw({k: -c for k, c in self.terms.items()})
+        return BiPoly._raw(self._c, {k: -v for k, v in self._t.items()})
 
     def __sub__(self, other):
         o = self._promote(other)
@@ -188,43 +263,23 @@ class BiPoly:
         c = _as_fraction(c)
         if not c:
             return BiPoly.zero()
-        if c == 1:
+        if c == 1 or not self._t:
             return self
-        return BiPoly._raw({k: v * c for k, v in self.terms.items()})
-
-    def _int_form(self) -> tuple[Fraction, dict[Key, int]]:
-        """Cached (content, primitive-integer-terms) decomposition."""
-        if self._intform is None:
-            if not self.terms:
-                self._intform = (Fraction(0), {})
-            else:
-                scale = 1
-                for c in self.terms.values():
-                    scale = scale * c.denominator // math.gcd(scale, c.denominator)
-                ints = {k: int(c * scale) for k, c in self.terms.items()}
-                g = 0
-                for v in ints.values():
-                    g = math.gcd(g, v)
-                    if g == 1:
-                        break
-                self._intform = (
-                    Fraction(g, scale),
-                    ints if g == 1 else {k: v // g for k, v in ints.items()},
-                )
-        return self._intform
+        if c > 0:
+            return BiPoly._raw(self._c * c, self._t)
+        return BiPoly._raw(self._c * -c, {k: -v for k, v in self._t.items()})
 
     def __mul__(self, other):
         o = self._promote(other)
         if o is None:
             return NotImplemented
-        if not self.terms or not o.terms:
+        ta, tb = self._t, o._t
+        if not ta or not tb:
             return BiPoly.zero()
         if o.is_constant():
-            return self.scale(o.terms[(0, 0)])
+            return self.scale(o.as_constant())
         if self.is_constant():
-            return o.scale(self.terms[(0, 0)])
-        ca, ta = self._int_form()
-        cb, tb = o._int_form()
+            return o.scale(self.as_constant())
         if len(ta) < len(tb):
             ta, tb = tb, ta
         out: dict[Key, int] = {}
@@ -234,8 +289,7 @@ class BiPoly:
                 k = (xa + xb, sa + sb)
                 v = out.get(k)
                 out[k] = va * vb if v is None else v + va * vb
-        scale = ca * cb
-        return BiPoly._raw({k: scale * v for k, v in out.items() if v})
+        return BiPoly._raw(self._c * o._c, {k: v for k, v in out.items() if v})
 
     __rmul__ = __mul__
 
@@ -271,7 +325,7 @@ class BiPoly:
                 out[k] = nv
             elif v is not None:
                 del out[k]
-        return BiPoly._raw(out)
+        return BiPoly(out)
 
     def eval_s(self, s0) -> "BiPoly":
         s0 = _as_fraction(s0)
@@ -289,7 +343,7 @@ class BiPoly:
                 out[k] = nv
             elif v is not None:
                 del out[k]
-        return BiPoly._raw(out)
+        return BiPoly(out)
 
     def eval(self, s0, x0) -> Fraction:
         v = self.eval_x(x0).eval_s(s0)
@@ -327,7 +381,7 @@ class BiPoly:
                 del rem[js]
         if rem:
             raise ValueError("inexact division by linear x factor")
-        return BiPoly._raw(out)
+        return BiPoly(out)
 
     def synth_div_s(self, s0) -> "BiPoly":
         """Exact division by ``s - s0``; raises if the remainder is nonzero."""
@@ -361,17 +415,21 @@ class BiPoly:
                 del rem[ix]
         if rem:
             raise ValueError("inexact division by linear s factor")
-        return BiPoly._raw(out)
+        return BiPoly(out)
 
     def shift_down(self, dx: int, ds: int) -> "BiPoly":
         """Exact division by the monomial ``x^dx * s^ds``."""
         if not dx and not ds:
             return self
-        return BiPoly._raw({(ix - dx, js - ds): c for (ix, js), c in self.terms.items()})
+        return BiPoly._raw(
+            self._c, {(ix - dx, js - ds): v for (ix, js), v in self._t.items()}
+        )
 
     def deriv_s(self) -> "BiPoly":
         return BiPoly._raw(
-            {(ix, js - 1): c * js for (ix, js), c in self.terms.items() if js}
+            *_primitive(
+                self._c, {(ix, js - 1): v * js for (ix, js), v in self._t.items() if js}
+            )
         )
 
     def to_s_poly(self) -> Poly:
@@ -396,21 +454,20 @@ class BiPoly:
         o = self._promote(other)
         if o is None:
             return NotImplemented
-        return self.terms == o.terms
+        return self._t == o._t and self._c == o._c
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash(frozenset(self.terms.items()))
+            self._hash = hash((self._c, frozenset(self._t.items())))
         return self._hash
 
     def __str__(self):
-        if not self.terms:
+        terms = self.terms
+        if not terms:
             return "0"
         parts = []
-        for (ix, js) in sorted(
-            self.terms, key=lambda k: (-(k[0] + k[1]), -k[0], -k[1])
-        ):
-            c = self.terms[(ix, js)]
+        for (ix, js) in sorted(terms, key=lambda k: (-(k[0] + k[1]), -k[0], -k[1])):
+            c = terms[(ix, js)]
             monos = []
             if ix:
                 monos.append("x" if ix == 1 else f"x^{ix}")
@@ -451,11 +508,11 @@ class BiFrac:
         if num.is_zero():
             self.num, self.den = BiPoly.zero(), BiPoly.one()
             return
-        g = _fgcd(num.content(), den.content())
+        g = _fgcd(num._c, den._c)
         mx = min(num.min_x(), den.min_x())
         ms = min(num.min_s(), den.min_s())
-        lead_key = max(den.terms, key=lambda k: (k[0] + k[1], k[0], k[1]))
-        if den.terms[lead_key] < 0:
+        lead_key = max(den._t, key=lambda k: (k[0] + k[1], k[0], k[1]))
+        if den._t[lead_key] < 0:
             g = -g
         if g != 1:
             inv = 1 / g
@@ -653,22 +710,30 @@ def cross_difference(a: BiFrac, b: BiFrac) -> BiPoly:
 
 
 class FactoredFrac:
-    """Fraction with the denominator kept as (factor, multiplicity) pairs.
+    """Fraction whose denominator is kept as ``{factor: multiplicity}``.
 
-    Addition builds the factorwise least common denominator by structural
-    factor matching, so repeated sums over ``1/(s+j)``- and ``1/(x+1)``-style
-    terms never cross-multiply full denominators.  Purely an evaluation
-    intermediate: comparisons go through :meth:`to_bifrac`.
+    ``den`` maps each nonconstant ``BiPoly`` factor to a positive
+    multiplicity, in order of first appearance.  Factors are matched by
+    hash lookup, so equal factors built separately share one key.
+    Addition builds the factorwise least common denominator, so repeated
+    sums over ``1/(s+j)``- and ``1/(x+1)``-style terms never cross-multiply
+    full denominators.  Purely an evaluation intermediate: comparisons go
+    through :meth:`to_bifrac`.  Values are shared (the factor memo hands
+    out one object to every caller), so ``den`` is never mutated.
     """
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: BiPoly, den: Iterable[tuple[BiPoly, int]] = ()):
+    def __init__(
+        self,
+        num: BiPoly,
+        den: Mapping[BiPoly, int] | Iterable[tuple[BiPoly, int]] = (),
+    ):
         if num.is_zero():
-            self.num, self.den = BiPoly.zero(), ()
+            self.num, self.den = BiPoly.zero(), {}
             return
-        clean: list[tuple[BiPoly, int]] = []
-        for f, m in den:
+        clean: dict[BiPoly, int] = {}
+        for f, m in den.items() if isinstance(den, Mapping) else den:
             m = int(m)
             if m <= 0:
                 continue
@@ -677,13 +742,18 @@ class FactoredFrac:
             if f.is_constant():
                 num = num.scale(f.as_constant() ** -m)
                 continue
-            for i, (g, mg) in enumerate(clean):
-                if g == f:
-                    clean[i] = (g, mg + m)
-                    break
-            else:
-                clean.append((f, m))
-        self.num, self.den = num, tuple(clean)
+            clean[f] = clean.get(f, 0) + m
+        self.num, self.den = num, clean
+
+    @classmethod
+    def _raw(cls, num: BiPoly, den: dict[BiPoly, int]) -> "FactoredFrac":
+        """Wrap ``den`` as is: nonconstant factors, positive multiplicities."""
+        out = cls.__new__(cls)
+        if num.is_zero():
+            out.num, out.den = BiPoly.zero(), {}
+        else:
+            out.num, out.den = num, den
+        return out
 
     # -- constructors ------------------------------------------------------
 
@@ -738,12 +808,6 @@ class FactoredFrac:
             raise ValueError("not a constant")
         return self.num.as_constant()
 
-    def _mult_of(self, f: BiPoly) -> int:
-        for g, m in self.den:
-            if g == f:
-                return m
-        return 0
-
     # -- arithmetic --------------------------------------------------------
 
     @classmethod
@@ -766,33 +830,26 @@ class FactoredFrac:
             return o
         if o.num.is_zero():
             return self
-        merged: list[tuple[BiPoly, int]] = list(self.den)
-        for f, m in o.den:
-            for i, (g, mg) in enumerate(merged):
-                if g == f:
-                    if m > mg:
-                        merged[i] = (g, m)
-                    break
-            else:
-                merged.append((f, m))
+        da, db = self.den, o.den
+        merged = dict(da)
+        for f, m in db.items():
+            if m > merged.get(f, 0):
+                merged[f] = m
         num_a = self.num
-        for f, m in merged:
-            deficit = m - self._mult_of(f)
+        num_b = o.num
+        for f, m in merged.items():
+            deficit = m - da.get(f, 0)
             if deficit:
                 num_a = num_a * f ** deficit
-        num_b = o.num
-        for f, m in merged:
-            deficit = m - o._mult_of(f)
+            deficit = m - db.get(f, 0)
             if deficit:
                 num_b = num_b * f ** deficit
-        return FactoredFrac(num_a + num_b, merged)
+        return FactoredFrac._raw(num_a + num_b, merged)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = FactoredFrac.__new__(FactoredFrac)
-        out.num, out.den = -self.num, self.den
-        return out
+        return FactoredFrac._raw(-self.num, self.den)
 
     def __sub__(self, other):
         o = self._promote(other)
@@ -812,15 +869,10 @@ class FactoredFrac:
             return NotImplemented
         if self.num.is_zero() or o.num.is_zero():
             return FactoredFrac(BiPoly.zero())
-        merged = list(self.den)
-        for f, m in o.den:
-            for i, (g, mg) in enumerate(merged):
-                if g == f:
-                    merged[i] = (g, mg + m)
-                    break
-            else:
-                merged.append((f, m))
-        return FactoredFrac(self.num * o.num, merged)
+        merged = dict(self.den)
+        for f, m in o.den.items():
+            merged[f] = merged.get(f, 0) + m
+        return FactoredFrac._raw(self.num * o.num, merged)
 
     __rmul__ = __mul__
 
@@ -828,7 +880,7 @@ class FactoredFrac:
         if self.num.is_zero():
             raise ZeroDenominatorError("inverse of zero")
         new_num = BiPoly.one()
-        for f, m in self.den:
+        for f, m in self.den.items():
             new_num = new_num * f ** m
         num = self.num
         if num.is_constant():
@@ -868,13 +920,15 @@ class FactoredFrac:
             return self.inverse() ** (-e)
         if e == 0:
             return FactoredFrac(BiPoly.one())
-        return FactoredFrac(self.num ** e, tuple((f, m * e) for f, m in self.den))
+        return FactoredFrac._raw(
+            self.num ** e, {f: m * e for f, m in self.den.items()}
+        )
 
     # -- conversion --------------------------------------------------------
 
     def to_bifrac(self) -> BiFrac:
         den = BiPoly.one()
-        for f, m in self.den:
+        for f, m in self.den.items():
             den = den * f ** m
         return BiFrac(self.num, den)
 
@@ -882,7 +936,7 @@ class FactoredFrac:
         if not self.den:
             return str(self.num)
         dens = " * ".join(
-            f"({f})" if m == 1 else f"({f})^{m}" for f, m in self.den
+            f"({f})" if m == 1 else f"({f})^{m}" for f, m in self.den.items()
         )
         return f"({self.num}) / [{dens}]"
 

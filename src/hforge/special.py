@@ -8,18 +8,21 @@ integer-shifted arguments collapse to finite telescoping sums
     psi(s+a) - psi(s+b)   =  sum_{j=b}^{a-1}  1/(s+j)
     psi'(s+a) - psi'(s+b) = -sum_{j=b}^{a-1}  1/(s+j)^2
 
-so no transcendental constant is ever materialized.  ``psi_diff`` and
-``psi1_diff`` sum those terms as reduced ``RatFunc`` values.
+so no transcendental constant is ever materialized.  ``binom_shift``,
+``psi_diff`` and ``psi1_diff`` give those values as reduced ``RatFunc``
+values; they are the references the tests hold the factored builders to.
 
 The ``*_factor`` builders give the same values as
 :class:`~hforge.bivar.FactoredFrac` with the ``(s+j)`` poles kept as shared
-denominator factors.  ``psi_factor``/``psi1_factor`` build that form
-directly: the numerator ``sign * sum_j prod_{i != j} (s+i)^m`` comes from
-integer telescoping ``N <- N*(s+j)^m + D``, ``D <- D*(s+j)^m``, with no
-gcd and no division.  It is already reduced, because every pole is
-distinct and has a nonzero residue.  While memoization is on, all three
-builders are memoized process-wide; their values are never mutated, so
-one value is shared by every cell and side that asks for it.  Other
+denominator factors, computed on integer coefficient lists with no
+``RatFunc`` and no gcd.  ``binom_factor`` multiplies out
+``prod_j (s+a-k+j)`` and scales by ``1/k!``.  ``psi_factor``/``psi1_factor``
+take the numerator ``sign * sum_j prod_{i != j} (s+i)^m`` from integer
+telescoping ``N <- N*(s+j)^m + D``, ``D <- D*(s+j)^m``, with no division.
+It is already reduced, because every pole is distinct and has a nonzero
+residue.  While memoization is on, all three builders are memoized
+process-wide; their values are never mutated, so one value is shared by
+every cell and side that asks for it.  Other
 modules put their own process-wide memos under the same switch with
 ``register_memo``.
 """
@@ -181,7 +184,11 @@ def psi1_factor(a: int, b: int) -> FactoredFrac:
 
 
 def _binom_factor_build(shift: int, k: int) -> FactoredFrac:
-    return FactoredFrac.from_ratfunc(binom_shift(shift, k))
+    """prod_{j=1..k} (s+shift-k+j) / k!, multiplied out in integers."""
+    num = [1]
+    for j in range(1, k + 1):
+        num = _times_linear(num, shift - k + j)
+    return FactoredFrac(_s_poly(num, Fraction(1, math.factorial(k))))
 
 
 def _psi_factor_build(a: int, b: int, m: int) -> FactoredFrac:
@@ -195,10 +202,13 @@ def _psi_factor_build(a: int, b: int, m: int) -> FactoredFrac:
             num[i] += c
         for _ in range(m):
             den = _times_linear(den, j)
-    if m == 2:
-        num = [-c for c in num]
-    factors = [(BiPoly.from_s_poly(Poly.linear(j)), m) for j in range(b, a)]
-    return FactoredFrac(BiPoly.from_s_poly(Poly(num)), factors)
+    factors = {_s_poly([j, 1]): m for j in range(b, a)}
+    return FactoredFrac(_s_poly(num, -1 if m == 2 else 1), factors)
+
+
+def _s_poly(coeffs: list[int], scale=1) -> BiPoly:
+    """scale * sum_i coeffs[i] s^i as a BiPoly."""
+    return BiPoly.from_ints({(0, i): c for i, c in enumerate(coeffs)}, scale)
 
 
 def _times_linear(coeffs: list[int], j: int) -> list[int]:

@@ -1,5 +1,7 @@
 """Sparse two-variable polynomials and unreduced fraction pairs."""
 
+import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -242,3 +244,175 @@ class TestFactoredFrac:
         f = FactoredFrac.var_x()
         assert bifrac_eq((2 * f).to_bifrac(), (f + f).to_bifrac())
         assert bifrac_eq((f - 1).to_bifrac(), BiFrac(BiPoly.x() - 1, BiPoly.one()))
+
+
+# -- the integer kernel against a plain Fraction-dict reference -------------
+
+Ref = dict  # {(x_degree, s_degree): Fraction}, no zero values
+
+
+def ref_add(a: Ref, b: Ref) -> Ref:
+    out = dict(a)
+    for k, v in b.items():
+        out[k] = out.get(k, 0) + v
+    return {k: v for k, v in out.items() if v}
+
+
+def ref_mul(a: Ref, b: Ref) -> Ref:
+    out: Ref = {}
+    for (xa, sa), va in a.items():
+        for (xb, sb), vb in b.items():
+            k = (xa + xb, sa + sb)
+            out[k] = out.get(k, 0) + va * vb
+    return {k: v for k, v in out.items() if v}
+
+
+def ref_pow(a: Ref, e: int) -> Ref:
+    out: Ref = {(0, 0): Fraction(1)}
+    for _ in range(e):
+        out = ref_mul(out, a)
+    return out
+
+
+def ref_scale(a: Ref, c: Fraction) -> Ref:
+    return {k: v * c for k, v in a.items() if v * c}
+
+
+def ref_deriv_s(a: Ref) -> Ref:
+    return {(i, j - 1): v * j for (i, j), v in a.items() if j}
+
+
+def assert_canonical(p: BiPoly) -> None:
+    if p.is_zero():
+        assert p._c == 0 and p._t == {}
+        return
+    assert isinstance(p._c, Fraction) and p._c > 0
+    assert all(type(v) is int and v for v in p._t.values())
+    assert math.gcd(*p._t.values()) == 1
+
+
+def assert_matches(p: BiPoly, ref: Ref) -> None:
+    assert_canonical(p)
+    assert dict(p.terms) == ref
+    assert all(isinstance(v, Fraction) for v in p.terms.values())
+
+
+wide_coeffs = st.fractions(min_value=-40, max_value=40, max_denominator=12)
+ref_polys = st.dictionaries(
+    st.tuples(st.integers(0, 4), st.integers(0, 4)), wide_coeffs, max_size=6
+).map(lambda d: {k: v for k, v in d.items() if v})
+scalars = st.fractions(min_value=-9, max_value=9, max_denominator=9)
+
+
+@given(ref_polys, ref_polys, scalars)
+@settings(max_examples=150, deadline=None)
+def test_kernel_agrees_with_the_fraction_reference(a, b, c):
+    p, q = BiPoly(a), BiPoly(b)
+    assert_matches(p, a)
+    assert_matches(p + q, ref_add(a, b))
+    assert_matches(p - q, ref_add(a, ref_scale(b, Fraction(-1))))
+    assert_matches(-p, ref_scale(a, Fraction(-1)))
+    assert_matches(p * q, ref_mul(a, b))
+    assert_matches(p.scale(c), ref_scale(a, c))
+    assert_matches(p * BiPoly.const(c), ref_scale(a, c))
+    assert_matches(p.deriv_s(), ref_deriv_s(a))
+    for e in range(4):
+        assert_matches(p ** e, ref_pow(a, e))
+    shifted = p * BiPoly.x(2) * BiPoly.s(3)
+    assert_matches(shifted.shift_down(2, 3), a)
+    assert_matches(shifted.shift_down(1, 0), ref_mul(a, {(1, 3): Fraction(1)}))
+
+
+@given(ref_polys, ref_polys, ref_polys)
+@settings(max_examples=60, deadline=None)
+def test_equal_polynomials_from_different_routes_hash_alike(a, b, c):
+    p, q, r = BiPoly(a), BiPoly(b), BiPoly(c)
+    left, right = (p + q) * r, p * r + q * r
+    assert left == right and hash(left) == hash(right)
+    rebuilt = BiPoly(dict(left.terms))
+    assert rebuilt == left and hash(rebuilt) == hash(left)
+    assert (p - p) == BiPoly.zero() and hash(p - p) == hash(BiPoly.zero())
+
+
+def test_content_and_primitive_part_are_unique():
+    half = BiPoly({(0, 0): Fraction(2, 4)})
+    assert half == BiPoly.const(Fraction(1, 2))
+    assert hash(half) == hash(BiPoly.const(Fraction(1, 2)))
+    p = BiPoly({(1, 0): Fraction(-4, 3), (0, 2): Fraction(2, 9)})
+    assert p.content() == Fraction(2, 9)
+    assert p._t == {(1, 0): -6, (0, 2): 1}
+    assert p == BiPoly.from_ints({(1, 0): -12, (0, 2): 2, (3, 3): 0}, Fraction(1, 9))
+    assert BiPoly.from_ints({(0, 0): 5}, 0).is_zero()
+    # sums that cancel to a multiple of two keep a primitive part
+    twice_x = (BiPoly.x() + 1) + (BiPoly.x() - 1)
+    assert twice_x._t == {(1, 0): 1} and twice_x.content() == 2
+
+
+def test_terms_is_a_read_only_view():
+    p = BiPoly({(1, 1): Fraction(3, 2), (0, 0): -3})
+    view = p.terms
+    assert dict(view) == {(1, 1): Fraction(3, 2), (0, 0): Fraction(-3)}
+    with pytest.raises(TypeError):
+        view[(0, 0)] = Fraction(1)
+    assert p.terms == view
+
+
+def test_values_survive_pickling_after_their_caches_fill():
+    p = BiPoly({(1, 1): Fraction(3, 2), (0, 0): -3})
+    f = FactoredFrac(p, [(BiPoly.s() + 1, 2)])
+    p.terms, hash(p), str(f)
+    q, g = pickle.loads(pickle.dumps((p, f)))
+    assert q == p and hash(q) == hash(p) and q.terms == p.terms
+    assert bifrac_eq(g.to_bifrac(), f.to_bifrac()) and g.den == f.den
+
+
+class TestKeyedDenominator:
+    @staticmethod
+    def twin_factors(j=3):
+        a = BiPoly.s() + j
+        b = BiPoly.from_s_poly(Poly.linear(j))
+        assert a is not b and a == b and hash(a) == hash(b)
+        return a, b
+
+    def test_equal_factors_share_one_key_on_construction(self):
+        a, b = self.twin_factors()
+        f = FactoredFrac(BiPoly.one(), [(a, 1), (b, 2)])
+        assert list(f.den.items()) == [(a, 3)]
+        assert FactoredFrac(BiPoly.one(), [(a, 1), (b, 0)]).den == {a: 1}
+
+    def test_equal_factors_share_one_key_in_sums_and_products(self):
+        a, b = self.twin_factors()
+        x1 = BiPoly.x() + 1
+        left = FactoredFrac(BiPoly.one(), {a: 1, x1: 1})
+        right = FactoredFrac(BiPoly.s(), {b: 2})
+        total = left + right
+        assert list(total.den.items()) == [(a, 2), (x1, 1)]
+        assert bifrac_eq(total.to_bifrac(), left.to_bifrac() + right.to_bifrac())
+        prod = left * right
+        assert list(prod.den.items()) == [(a, 3), (x1, 1)]
+        assert bifrac_eq(prod.to_bifrac(), left.to_bifrac() * right.to_bifrac())
+
+    def test_to_bifrac_expands_the_factors_in_order(self):
+        rng = random.Random(59)
+        for _ in range(30):
+            factors = {}
+            for _ in range(rng.randint(0, 3)):
+                f = rand_bipoly(rng)
+                if not f.is_constant():
+                    factors[f] = factors.get(f, 0) + rng.randint(1, 3)
+            num = rand_bipoly(rng)
+            got = FactoredFrac(num, factors).to_bifrac()
+            den = BiPoly.one()
+            for f, m in factors.items():
+                den = den * f ** m
+            want = BiFrac(num, den)
+            assert got.num == want.num and got.den == want.den
+
+    def test_str_keeps_first_appearance_order(self):
+        s2, x1, s1 = BiPoly.s() + 2, BiPoly.x() + 1, BiPoly.s() + 1
+        f = FactoredFrac(BiPoly.one(), [(s2, 1), (x1, 2), (s1, 1)])
+        assert str(f) == "(1) / [(s + 2) * (x + 1)^2 * (s + 1)]"
+        g = f + FactoredFrac(BiPoly.one(), [(BiPoly.s(), 1), (s2, 3)])
+        assert str(g).endswith("/ [(s + 2)^3 * (x + 1)^2 * (s + 1) * (s)]")
+        h = FactoredFrac(BiPoly.x(), [(s1, 1)]) * f
+        assert [str(k) for k in h.den] == ["s + 1", "s + 2", "x + 1"]

@@ -1,5 +1,6 @@
 """Command line surface: exit codes, formats, golden outputs."""
 
+import hashlib
 import json
 
 import pytest
@@ -130,6 +131,22 @@ class TestVerify:
     def test_unknown_id(self, runner):
         r = invoke(runner, "verify", "--id", "NOPE")
         assert r.exit_code == 2
+
+    # sha256 of the full n <= 25 report; any change to a verdict, a row or
+    # the report's layout changes it
+    GOLDEN_N25_SHA256 = "d8b69d8b7c5bab09b9a87c9ca57636dcae5ae3d469f07fc495f667f44f380d04"
+
+    def test_full_sweep_report_is_byte_identical_to_the_golden_one(self, runner):
+        r = invoke(
+            runner, "verify", "--all", "--n-max", "25", "--workers", "1",
+            "--format", "json", "--no-timing",
+        )
+        assert r.exit_code == 0
+        assert json.loads(r.stdout)["summary"] == {
+            "total": 945, "passed": 920, "failed": 0, "expected_failed": 25
+        }
+        assert len(r.stdout_bytes) == 190_755
+        assert hashlib.sha256(r.stdout_bytes).hexdigest() == self.GOLDEN_N25_SHA256
 
 
 class TestDslCommand:
