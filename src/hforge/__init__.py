@@ -21,8 +21,9 @@ The package is layered bottom-up:
     (parsed on first evaluation, so importing the package does not import
     ``dsl``), plus the verification engine.
 ``oracle``
-    Independent numeric verification: deterministic grid sampling with
-    degree-bound certificates and integer-point direct summation.
+    Numeric verification of the catalog's statements by an evaluator of
+    its own: deterministic grid sampling with degree-bound certificates
+    and integer-point evaluation.
 ``cli``
     The ``hforge`` command line front end.
 """

@@ -42,7 +42,7 @@ class Side:
 
     Calling it with ``(n, params)`` gives the side's exact value as a
     :class:`BiFrac`, with ``params`` bound to the declared integer
-    parameters.  The source is parsed and checked on the first call, so
+    parameters.  The source is parsed and checked on first use, so
     importing the catalog does not import the language.
     """
 
@@ -53,17 +53,24 @@ class Side:
         self.params = params
         self._ast = None
 
-    def __call__(self, n: int, params: Params | None = None) -> BiFrac:
-        from . import dsl
-
+    @property
+    def ast(self):
+        """The checked tree of the source; what every evaluator of the side reads."""
         if self._ast is None:
+            from . import dsl
+
             ast = dsl.parse_expr(self.source)
             if not isinstance(ast, list):
                 ast = dsl.check(ast, self.params)
             if isinstance(ast, list):
                 raise ValueError(f"bad statement {self.source!r}: {ast[0]}")
             self._ast = ast
-        return dsl.eval(self._ast, n, params)
+        return self._ast
+
+    def __call__(self, n: int, params: Params | None = None) -> BiFrac:
+        from . import dsl
+
+        return dsl.eval(self.ast, n, params)
 
 
 @dataclass(frozen=True)

@@ -1,40 +1,58 @@
 """Independent numeric verification paths for the identity catalog.
 
-Two oracles that share no evaluation code with the symbolic pipeline:
+Two oracles that evaluate the catalog's own statements, each side's
+checked tree (``Side.ast``), with arithmetic of their own:
 
-* deterministic grid sampling: both sides of an identity are computed by
-  direct summation at enough positive integer points to pin down the
-  cross-multiplied difference polynomial (agreement everywhere on such a
-  grid proves the per-n identity);
-* integer-point direct summation, where every digamma difference
-  collapses to a difference of harmonic numbers and no rational-function
-  value is ever constructed.
+* deterministic grid sampling: both sides are computed at enough
+  positive integer points to pin down the cross-multiplied difference
+  polynomial (agreement everywhere on such a grid proves the per-n
+  identity);
+* integer-point evaluation, where every digamma difference collapses to
+  a difference of harmonic numbers and no rational-function value is
+  ever constructed.
 
-The summation loops below are a second, independent transcription of
-each identity.  They intentionally bypass the catalog's evaluators and
-work in plain ``Fraction`` arithmetic; nothing here calls into ``dsl``,
-``bivar`` or ``exact``.
+The independence lies in the evaluator: a plain-``Fraction`` walk of the
+tree with its own binomial and digamma primitives.  Nothing here calls
+into ``bivar``, ``exact`` or ``dsl.evaluator``.
 
-Work that does not depend on x is done once.  At a sample value s,
-``_PointCtx`` keeps prefix sums of ``1/(s+j)`` and ``1/(s+j)^2`` and the
-binomials ``C(s+shift, k)``, grown on demand; while memoization is on
-(``special.set_memoization``), one context per integer s serves every
-cell of a sweep, and ``point_memo_info`` reports its use.  The sides of
-the bivariate theorems ask their context once per s-row for the x-free
-coefficient list of their sum (``row``) and evaluate it by Horner's rule
-at each x; those rows are dropped when the check leaves the s-row.
+One walk evaluates a side over a cell's whole grid (``_Grid``).  A value
+that depends on neither s nor x is computed once per cell, one that
+depends on x alone once per x, and one free of x once per s.  A sum
+shaped ``c(k) * b^e(k)`` with consecutive exponents builds its
+coefficient list once per s and evaluates it by Horner's rule at each x.
+At a sample value s, ``_PointCtx`` keeps prefix sums of ``1/(s+j)`` and
+``1/(s+j)^2`` and the binomials ``C(s+shift, k)``, grown on demand;
+while memoization is on (``special.set_memoization``), one context per
+integer s serves every cell of a sweep, and ``point_memo_info`` reports
+its use.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping
+from itertools import repeat
+from typing import Mapping
 
-from .catalog import IdentityEntry
+from .catalog import IdentityEntry, Side, lookup
+from .dsl.nodes import (
+    Add,
+    Call,
+    Div,
+    IntLit,
+    Mul,
+    Neg,
+    Pow,
+    RatLit,
+    Sub,
+    Sum,
+    Var,
+    iter_children,
+)
 from .report import Report, ReportRow
 from .special import (
     MemoInfo,
@@ -48,21 +66,7 @@ from .special import (
 Params = Mapping[str, int]
 
 
-class _Rows:
-    """The ``row`` helper of both contexts: a side's x-free coefficient
-    list, built once per key and kept in ``rows`` until the check that
-    owns the context drops it."""
-
-    __slots__ = ("rows",)
-
-    def row(self, key, build) -> list[Fraction]:
-        rows = self.rows
-        if key not in rows:
-            rows[key] = build()
-        return rows[key]
-
-
-class _PointCtx(_Rows):
+class _PointCtx:
     """Direct-summation primitives at one exact rational point s.
 
     ``psi`` and ``psi1`` are differences of the prefix sums
@@ -71,14 +75,13 @@ class _PointCtx(_Rows):
     three tables grow on demand (so s+i must be nonzero for every i below
     the largest index asked for) and hold nothing that depends on x, n or
     an identity, which is what lets one context serve every cell
-(``_point_ctx``).
+    (``_point_ctx``).
     """
 
     __slots__ = ("s", "_p1", "_p2", "_binom")
 
     def __init__(self, s):
         self.s = Fraction(s)
-        self.rows = {}
         self._p1 = [Fraction(0)]
         self._p2 = [Fraction(0)]
         self._binom: dict[int, list[Fraction]] = {}
@@ -116,7 +119,7 @@ def _shared_point_ctx(s: int) -> _PointCtx:
 
 def _point_ctx(s: int) -> _PointCtx:
     """The context at sample value s: shared by every cell while
-    memoization is on, fresh for each s-row otherwise."""
+    memoization is on, fresh for each cell otherwise."""
     return _shared_point_ctx(s) if memoization_enabled() else _PointCtx(s)
 
 
@@ -126,12 +129,12 @@ def point_memo_info() -> MemoInfo:
     return MemoInfo(hits=info.hits, misses=info.misses, size=info.currsize)
 
 
-class _IntegerSCtx(_Rows):
+class _IntegerSCtx:
     """Summation primitives at a nonnegative integer point s0.
 
     Digamma differences collapse to harmonic-number differences here, so
     this path exercises only Rational, harmonic, and binomial arithmetic.
-    One context, and its rows, lives for one ``integer_s_check`` call.
+    One context lives for one ``integer_s_check`` call.
     """
 
     __slots__ = ("s0", "s")
@@ -141,7 +144,6 @@ class _IntegerSCtx(_Rows):
             raise ValueError("s0 must be a nonnegative integer")
         self.s0 = s0
         self.s = Fraction(s0)
-        self.rows = {}
 
     def psi(self, a: int, b: int) -> Fraction:
         return harmonic(self.s0 + a - 1) - harmonic(self.s0 + b - 1)
@@ -179,611 +181,180 @@ def _horner(coeffs: list[Fraction], x: Fraction, lo: int = 0) -> Fraction:
     return Fraction(acc * p ** lo * q, den * qk * q ** lo)
 
 
-_H = harmonic
-
-
-def _H2(n: int) -> Fraction:
-    return harmonic_gen(n, 2)
-
-
-_C = binom_int
-
-
 # ---------------------------------------------------------------------------
-# Per-identity direct summations.  Uniform signature (ctx, x, n, params);
-# scalar identities ignore ctx and x.
+# The statement evaluator
 # ---------------------------------------------------------------------------
 
 
-def _t21_l(ctx, x, n, p):
-    row = ctx.row(("t21_l", n), lambda: [ctx.binom(n, k) for k in range(n + 1)])
-    return _horner(row, x)
-
-
-def _t21_r(ctx, x, n, p):
-    w = x / (1 + x)
-    row = ctx.row(
-        ("t21_r", n), lambda: [ctx.binom(k, k) / (k + 1) for k in range(n)]
-    )
-    return (1 + x) ** n * (1 + ctx.s * _horner(row, w, 1))
-
-
-def _t22_l(ctx, x, n, p):
-    row = ctx.row(
-        ("t22_l", n),
-        lambda: [
-            ctx.binom(n, k) * ctx.psi(n + 1, n - k + 1) for k in range(1, n + 1)
-        ],
-    )
-    return _horner(row, x, 1)
-
-
-def _t22_r(ctx, x, n, p):
-    w = x / (1 + x)
-    row = ctx.row(
-        ("t22_r", n),
-        lambda: [
-            ctx.binom(k, k) / (k + 1) * (1 + ctx.s * ctx.psi(k + 1, 1))
-            for k in range(n)
-        ],
-    )
-    return (1 + x) ** n * _horner(row, w, 1)
-
-
-def _c23_l(ctx, x, n, p):
-    return sum(
-        (
-            (-1) ** k * ctx.binom(n, k) * ctx.psi(n + 1, n - k + 1)
-            for k in range(n + 1)
-        ),
-        Fraction(0),
-    )
-
-
-def _c23_r(ctx, x, n, p):
-    return (
-        Fraction((-1) ** n, n)
-        * ctx.binom(n - 1, n - 1)
-        * (1 + ctx.s * ctx.psi(n, 1))
-    )
-
-
-def _t24_l(ctx, x, n, p):
-    row = ctx.row(
-        ("t24_l", n),
-        lambda: [
-            ctx.binom(n, k)
-            * (ctx.psi(n + 1, n - k + 1) ** 2 + ctx.psi1(n + 1, n - k + 1))
-            for k in range(n + 1)
-        ],
-    )
-    return _horner(row, x)
-
-
-def _t24_coeff(ctx, k):
-    d = ctx.psi(k + 1, 1)
-    return (
-        ctx.binom(k, k)
-        / (k + 1)
-        * (2 * d + ctx.s * (d ** 2 + ctx.psi1(k + 1, 1)))
-    )
-
-
-def _t24_r(ctx, x, n, p):
-    w = x / (1 + x)
-    row = ctx.row(("t24_r", n), lambda: [_t24_coeff(ctx, k) for k in range(n)])
-    return (1 + x) ** n * _horner(row, w, 1)
-
-
-def _c25_l(ctx, x, n, p):
-    return sum(
-        (
-            (-1) ** k
-            * ctx.binom(n, k)
-            * (ctx.psi(n + 1, n - k + 1) ** 2 + ctx.psi1(n + 1, n - k + 1))
-            for k in range(n + 1)
-        ),
-        Fraction(0),
-    )
-
-
-def _c25_r(ctx, x, n, p):
-    d = ctx.psi(n, 1)
-    return (
-        Fraction((-1) ** n, n)
-        * ctx.binom(n - 1, n - 1)
-        * (2 * d + ctx.s * (d ** 2 + ctx.psi1(n, 1)))
-    )
-
-
-def _t26_l(ctx, x, n, p):
-    return sum(
-        (ctx.binom(n, k) * Fraction((-1) ** (k - 1), k) for k in range(1, n + 1)),
-        Fraction(0),
-    )
-
-
-def _t26_coeff(ctx, n, k):
-    return (-1) ** k * ctx.binom(k, k) / ((k + 1) ** 2 * _C(n, k + 1))
-
-
-def _t26_r(ctx, x, n, p):
-    return _H(n) + ctx.s * sum(
-        (_t26_coeff(ctx, n, k) for k in range(n)), Fraction(0)
-    )
-
-
-def _t27_l(ctx, x, n, p):
-    return sum(
-        (
-            Fraction((-1) ** (k - 1), k)
-            * ctx.binom(n, k)
-            * ctx.psi(n + 1, n - k + 1)
-            for k in range(1, n + 1)
-        ),
-        Fraction(0),
-    )
-
-
-def _t27_r(ctx, x, n, p):
-    first = sum((_t26_coeff(ctx, n, k) for k in range(n)), Fraction(0))
-    second = sum(
-        (_t26_coeff(ctx, n, k) * ctx.psi(k + 1, 1) for k in range(n)), Fraction(0)
-    )
-    return first + ctx.s * second
-
-
-def _t28_l(ctx, x, n, p):
-    return sum(
-        (
-            Fraction((-1) ** (k - 1), k)
-            * ctx.binom(n, k)
-            * (ctx.psi(n + 1, n - k + 1) ** 2 + ctx.psi1(n + 1, n - k + 1))
-            for k in range(1, n + 1)
-        ),
-        Fraction(0),
-    )
-
-
-def _t28_r(ctx, x, n, p):
-    first = sum(
-        (_t26_coeff(ctx, n, k) * ctx.psi(k + 1, 1) for k in range(n)), Fraction(0)
-    )
-    second = sum(
-        (
-            _t26_coeff(ctx, n, k)
-            * (ctx.psi(k + 1, 1) ** 2 + ctx.psi1(k + 1, 1))
-            for k in range(n)
-        ),
-        Fraction(0),
-    )
-    return 2 * first + ctx.s * second
-
-
-def _t29_l(ctx, x, n, p):
-    return sum(
-        (
-            ctx.binom(n, k) * Fraction((-1) ** (k - 1), k * k)
-            for k in range(1, n + 1)
-        ),
-        Fraction(0),
-    )
-
-
-def _t29_coeff(ctx, n, k):
-    return (
-        Fraction((-1) ** k, k + 1)
-        * ctx.binom(k, k)
-        * (_H(n) - _H(k))
-        / ((n - k) * _C(n, k))
-    )
-
-
-def _t29_r(ctx, x, n, p):
-    return (_H(n) ** 2 + _H2(n)) / 2 + ctx.s * sum(
-        (_t29_coeff(ctx, n, k) for k in range(n)), Fraction(0)
-    )
-
-
-def _t210_l(ctx, x, n, p):
-    return sum(
-        (
-            ctx.binom(n, k)
-            * Fraction((-1) ** (k - 1), k * k)
-            * ctx.psi(n + 1, n - k + 1)
-            for k in range(1, n + 1)
-        ),
-        Fraction(0),
-    )
-
-
-def _t210_r(ctx, x, n, p):
-    first = sum((_t29_coeff(ctx, n, k) for k in range(n)), Fraction(0))
-    second = sum(
-        (_t29_coeff(ctx, n, k) * ctx.psi(k + 1, 1) for k in range(n)), Fraction(0)
-    )
-    return first + ctx.s * second
-
-
-def _t211_l(ctx, x, n, p):
-    return sum(
-        (
-            ctx.binom(n, k)
-            * Fraction((-1) ** (k - 1), k * k)
-            * (ctx.psi(n + 1, n - k + 1) ** 2 + ctx.psi1(n + 1, n - k + 1))
-            for k in range(1, n + 1)
-        ),
-        Fraction(0),
-    )
-
-
-def _t211_r(ctx, x, n, p):
-    first = sum(
-        (_t29_coeff(ctx, n, k) * ctx.psi(k + 1, 1) for k in range(n)), Fraction(0)
-    )
-    second = sum(
-        (
-            _t29_coeff(ctx, n, k)
-            * (ctx.psi(k + 1, 1) ** 2 + ctx.psi1(k + 1, 1))
-            for k in range(n)
-        ),
-        Fraction(0),
-    )
-    return 2 * first + ctx.s * second
-
-
-def _i1_l(ctx, x, n, p):
-    return sum(((-1) ** k * ctx.binom(n, k) for k in range(n + 1)), Fraction(0))
-
-
-def _i1_r(ctx, x, n, p):
-    return (-1) ** n * ctx.binom(n - 1, n)
-
-
-def _i2_l(ctx, x, n, p):
-    return sum(((-1) ** k * ctx.binom(0, k) for k in range(n + 1)), Fraction(0))
-
-
-def _i2_r(ctx, x, n, p):
-    return (-1) ** n * ctx.binom(-1, n)
-
-
-def _i3_l(ctx, x, n, p):
-    return sum((_C(2 * k, k) / Fraction(4 ** k) for k in range(n + 1)), Fraction(0))
-
-
-def _i3_r(ctx, x, n, p):
-    return Fraction(2 * n + 1, 4 ** n) * _C(2 * n, n)
-
-
-def _i4_l(ctx, x, n, p):
-    return sum(
-        (
-            _C(2 * k, k) / Fraction(4 ** k) * (2 * _H(2 * k) - _H(k))
-            for k in range(1, n + 1)
-        ),
-        Fraction(0),
-    )
-
-
-def _i4_r(ctx, x, n, p):
-    return (
-        Fraction(2 * n + 1, 4 ** n)
-        * _C(2 * n, n)
-        * (2 * _H(2 * n) - _H(n) - Fraction(4 * n, 2 * n + 1))
-    )
-
-
-def _i5_l(ctx, x, n, p):
-    return sum(
-        (Fraction((-1) ** (k - 1), k) * _C(n, k) for k in range(1, n + 1)),
-        Fraction(0),
-    )
-
-
-def _i5_r(ctx, x, n, p):
-    return _H(n)
-
-
-def _i6_l(ctx, x, n, p):
-    return sum(
-        (
-            Fraction((-1) ** (k - 1), k) * _C(n, k) * _H(n - k)
-            for k in range(1, n + 1)
-        ),
-        Fraction(0),
-    )
-
-
-def _i6_r(ctx, x, n, p):
-    return _H(n) ** 2 + sum(
-        ((-1) ** k / (k * k * _C(n, k)) for k in range(1, n + 1)), Fraction(0)
-    )
-
-
-def _i7_l(ctx, x, n, p):
-    return sum((_C(n, k) * _H(n - k) * x ** k for k in range(n + 1)), Fraction(0))
-
-
-def _i7_r(ctx, x, n, p):
-    w = x / (1 + x)
-    inner = sum((w ** k / k for k in range(1, n + 1)), Fraction(0))
-    return (1 + x) ** n * (_H(n) - inner)
-
-
-def _i8_l(ctx, x, n, p):
-    return sum((_C(n, k) * _H(k) for k in range(n + 1)), Fraction(0))
-
-
-def _i8_r(ctx, x, n, p):
-    inner = sum((Fraction(1, k * 2 ** k) for k in range(1, n + 1)), Fraction(0))
-    return 2 ** n * (_H(n) - inner)
-
-
-def _i9_l(ctx, x, n, p):
-    return sum(
-        (
-            _C(n, k) * (_H(k) ** 2 + _H2(k)) * x ** k
-            for k in range(1, n + 1)
-        ),
-        Fraction(0),
-    )
-
-
-def _i9_r(ctx, x, n, p):
-    inner = sum(
-        ((_H(k - 1) - _H(n)) / (k * (1 + x) ** k) for k in range(1, n + 1)),
-        Fraction(0),
-    )
-    return (1 + x) ** n * (_H(n) ** 2 + _H2(n) + 2 * inner)
-
-
-def _i10_l(ctx, x, n, p):
-    return sum(
-        (
-            (-1) ** k * _C(n, k) * (_H(k) ** 2 + _H2(k))
-            for k in range(1, n + 1)
-        ),
-        Fraction(0),
-    )
-
-
-def _i10_r(ctx, x, n, p):
-    return Fraction(-2, n * n)
-
-
-def _i11_l(ctx, x, n, p):
-    return sum(
-        ((-1) ** k / (k * _C(n, k)) for k in range(1, n + 1)), Fraction(0)
-    )
-
-
-def _i11_r(ctx, x, n, p):
-    return Fraction((-1) ** n - 1, n + 1)
-
-
-def _i12_l(ctx, x, n, p):
-    return sum(
-        (
-            Fraction((-1) ** (k - 1), k)
-            * _C(n, k)
-            * (_H(n - k) ** 2 + _H2(n - k))
-            for k in range(1, n + 1)
-        ),
-        Fraction(0),
-    )
-
-
-def _i12_r(ctx, x, n, p):
-    tail = sum(
-        (
-            (-1) ** k * (_H(n) - _H(k - 1)) / (k * k * _C(n, k))
-            for k in range(1, n + 1)
-        ),
-        Fraction(0),
-    )
-    return _H(n) ** 3 + _H(n) * _H2(n) + 2 * tail
-
-
-def _i13_l(ctx, x, n, p):
-    m = p["m"]
-    return sum(
-        ((-1) ** k * _C(m * n, k) * _H(m * n - k) for k in range(n + 1)),
-        Fraction(0),
-    )
-
-
-def _i13_r(ctx, x, n, p):
-    m = p["m"]
-    return (
-        Fraction((-1) ** n, m)
-        * _C(m * n, n)
-        * ((m - 1) * _H((m - 1) * n) - Fraction(1, m * n))
-    )
-
-
-def _i15_l(ctx, x, n, p):
-    return sum(
-        ((-1) ** k * _H(k) / (k * _C(n, k)) for k in range(1, n + 1)), Fraction(0)
-    )
-
-
-def _i15_r(ctx, x, n, p):
-    tail = sum(
-        ((-1) ** k / (k * k * _C(n + 1, k)) for k in range(1, n + 2)), Fraction(0)
-    )
-    return (-1) ** n * _H(n + 1) / (n + 1) + tail
-
-
-def _i16_l(ctx, x, n, p):
-    # exponent k-1 is negative at k=0; write the sign as -(-1)^k
-    return sum(
-        (
-            -((-1) ** k) * 4 ** k * _C(n, k) / _C(2 * k, k)
-            for k in range(n + 1)
-        ),
-        Fraction(0),
-    )
-
-
-def _i16_r(ctx, x, n, p):
-    return Fraction(1, 2 * n - 1)
-
-
-def _i17_l(ctx, x, n, p):
-    return sum(
-        (_C(n, k) * Fraction((-1) ** (k - 1), k * k) for k in range(1, n + 1)),
-        Fraction(0),
-    )
-
-
-def _i17_r(ctx, x, n, p):
-    return (_H(n) ** 2 + _H2(n)) / 2
-
-
-def _i18_l(ctx, x, n, p):
-    return sum(
-        ((-1) ** k * _H(n - k) / (k * _C(n, k)) for k in range(1, n + 1)),
-        Fraction(0),
-    )
-
-
-def _i18_r(ctx, x, n, p):
-    return Fraction(1 - (-1) ** n, (n + 1) ** 2) - _H(n) / (n + 1)
-
-
-def _i19_l(ctx, x, n, p):
-    return sum(
-        (
-            Fraction((-1) ** (k - 1), k * k) * _C(n, k) * _H(n - k)
-            for k in range(1, n + 1)
-        ),
-        Fraction(0),
-    )
-
-
-def _i19_r(ctx, x, n, p):
-    tail = sum(
-        (
-            (-1) ** k * (_H(n) - _H(k)) / ((k + 1) * (n - k) * _C(n, k))
-            for k in range(n)
-        ),
-        Fraction(0),
-    )
-    return _H(n) * (_H(n) ** 2 + _H2(n)) / 2 - tail
-
-
-def _i20_l(ctx, x, n, p):
-    return sum(
-        (
-            Fraction((-1) ** (k - 1), k * k)
-            * _C(n, k)
-            * (_H(n - k) ** 2 + _H2(n - k))
-            for k in range(1, n + 1)
-        ),
-        Fraction(0),
-    )
-
-
-def _i20_r(ctx, x, n, p):
-    tail = sum(
-        (
-            (-1) ** k * (_H(n) - _H(k)) ** 2 / ((k + 1) * (n - k) * _C(n, k))
-            for k in range(n)
-        ),
-        Fraction(0),
-    )
-    return (_H(n) ** 2 + _H2(n)) ** 2 / 2 - 2 * tail
-
-
-def _n1_l(ctx, x, n, p):
-    return sum((_C(n, k) ** 2 * _H(k) for k in range(n + 1)), Fraction(0))
-
-
-def _n1_r(ctx, x, n, p):
-    return _C(2 * n, n) * (2 * _H(n) - _H(2 * n))
-
-
-def _n2_l(ctx, x, n, p):
-    return sum(
-        (
-            (-1) ** k * _C(n, k) * (_H(k) - 2 * _H(2 * k))
-            for k in range(n + 1)
-        ),
-        Fraction(0),
-    )
-
-
-def _n2_r_printed(ctx, x, n, p):
-    return Fraction(4 ** n, n) * _C(2 * n, n) ** 2
-
-
-def _n2_r_corrected(ctx, x, n, p):
-    return Fraction(4 ** n) / (n * _C(2 * n, n))
-
-
-def _n3_l(ctx, x, n, p):
-    return sum(
-        ((-1) ** k * _C(n, k) * _H(n + k) ** 2 for k in range(n + 1)), Fraction(0)
-    )
-
-
-def _n3_r(ctx, x, n, p):
-    return (_H(n) - _H(2 * n) - Fraction(2, n)) / (n * _C(2 * n, n))
-
-
-SideFn = Callable[[object, Fraction, int, Params], Fraction]
-
-_SIDES: dict[str, tuple[SideFn, SideFn]] = {
-    "THM-2.1": (_t21_l, _t21_r),
-    "THM-2.2": (_t22_l, _t22_r),
-    "COR-2.3": (_c23_l, _c23_r),
-    "THM-2.4": (_t24_l, _t24_r),
-    "COR-2.5": (_c25_l, _c25_r),
-    "THM-2.6": (_t26_l, _t26_r),
-    "THM-2.7": (_t27_l, _t27_r),
-    "THM-2.8": (_t28_l, _t28_r),
-    "THM-2.9": (_t29_l, _t29_r),
-    "THM-2.10": (_t210_l, _t210_r),
-    "THM-2.11": (_t211_l, _t211_r),
-    "ID-1": (_i1_l, _i1_r),
-    "ID-2": (_i2_l, _i2_r),
-    "ID-3": (_i3_l, _i3_r),
-    "ID-4": (_i4_l, _i4_r),
-    "ID-5": (_i5_l, _i5_r),
-    "ID-6": (_i6_l, _i6_r),
-    "ID-7": (_i7_l, _i7_r),
-    "ID-8": (_i8_l, _i8_r),
-    "ID-9": (_i9_l, _i9_r),
-    "ID-10": (_i10_l, _i10_r),
-    "ID-11": (_i11_l, _i11_r),
-    "ID-12": (_i12_l, _i12_r),
-    "ID-13": (_i13_l, _i13_r),
-    "ID-14": (_i13_l, _i13_r),
-    "ID-15": (_i15_l, _i15_r),
-    "ID-16": (_i16_l, _i16_r),
-    "ID-17": (_i17_l, _i17_r),
-    "ID-18": (_i18_l, _i18_r),
-    "ID-19": (_i19_l, _i19_r),
-    "ID-20": (_i20_l, _i20_r),
-    "INTRO-1": (_n1_l, _n1_r),
-    "INTRO-2": (_n2_l, _n2_r_corrected),
-    "INTRO-3": (_n3_l, _n3_r),
-}
-
-_RHS_VARIANTS: dict[str, dict[str, SideFn]] = {
-    "INTRO-2": {"printed": _n2_r_printed, "corrected": _n2_r_corrected},
-}
-
-
-def _sides(tag: str, variant: str | None) -> tuple[SideFn, SideFn]:
-    lhs, rhs = _SIDES[tag]
-    if variant is not None:
-        variants = _RHS_VARIANTS.get(tag, {})
-        if variant not in variants:
-            raise ValueError(f"{tag} has no variant {variant!r}")
-        rhs = variants[variant]
-    return lhs, rhs
+def _div(a, b):
+    if type(a) is int and type(b) is int:
+        return Fraction(a, b)
+    return a / b
+
+
+_BINARY = {Add: operator.add, Sub: operator.sub, Mul: operator.mul, Div: _div}
+
+
+def _lift(op, a, b):
+    """op at every grid point.  A list runs over the s values, a tuple
+    over the x values; a value that is not a list is the same at every
+    s, and a scalar is the same at every x."""
+    la, lb = type(a) is list, type(b) is list
+    if not (la or lb):
+        return _row(op, a, b)
+    if tuple in (type(a[0] if la else a), type(b[0] if lb else b)):
+        op = functools.partial(_row, op)
+    return list(map(op, a if la else repeat(a), b if lb else repeat(b)))
+
+
+def _row(op, a, b):
+    """op at every x, for a and b each a scalar or a tuple over x."""
+    if type(a) is tuple:
+        return tuple(map(op, a, b if type(b) is tuple else repeat(b)))
+    if type(b) is tuple:
+        return tuple(map(op, repeat(a), b))
+    return op(a, b)
+
+
+def _map(fn, a):
+    if type(a) is list:
+        if type(a[0]) is tuple:
+            return [tuple(map(fn, u)) for u in a]
+        return list(map(fn, a))
+    if type(a) is tuple:
+        return tuple(map(fn, a))
+    return fn(a)
+
+
+def _at(value, i: int, j: int):
+    """The value at the grid point (s_i, x_j)."""
+    if type(value) is list:
+        value = value[i]
+    if type(value) is tuple:
+        value = value[j]
+    return value
+
+
+def _uses(node, name: str) -> bool:
+    """Whether ``name`` occurs free in the tree."""
+    if type(node) is Var:
+        return node.name == name
+    if type(node) is Sum and node.binder == name:
+        return _uses(node.lo, name) or _uses(node.hi, name)
+    return any(_uses(child, name) for child in iter_children(node))
+
+
+class _Grid:
+    """A cell's sample grid: the contexts of its s values and its x values.
+
+    ``ev`` evaluates a checked tree over the whole grid in one walk.  Its
+    value is a scalar (free of s and x), a tuple over the x values (free
+    of s), a list over the s values of scalars (free of x), or a list
+    over the s values of tuples over the x values.
+    """
+
+    __slots__ = ("ctxs", "s", "x")
+
+    def __init__(self, ctxs, xs):
+        self.ctxs = ctxs
+        self.s = [ctx.s for ctx in ctxs]
+        self.x = tuple(xs)
+
+    def ev(self, node, env: dict):
+        kind = type(node)
+        op = _BINARY.get(kind)
+        if op is not None:
+            return _lift(op, self.ev(node.left, env), self.ev(node.right, env))
+        if kind is Var:
+            name = node.name
+            if name == "s":
+                return self.s
+            if name == "x":
+                return self.x
+            return env[name]
+        if kind is IntLit or kind is RatLit:
+            return node.value
+        if kind is Call:
+            return self._call(node.func, [self.ev(a, env) for a in node.args])
+        if kind is Sum:
+            return self._sum(node, env)
+        if kind is Pow:
+            e = self.ev(node.exponent, env)
+            if e < 0:
+                return _map(lambda v: Fraction(v) ** e, self.ev(node.base, env))
+            return _map(lambda v: v ** e, self.ev(node.base, env))
+        if kind is Neg:
+            return _map(operator.neg, self.ev(node.child, env))
+        raise TypeError(f"cannot evaluate {kind.__name__}")
+
+    def _call(self, func: str, args: list[int]):
+        if func == "H":
+            return harmonic(*args)
+        if func == "Hr":
+            return harmonic_gen(*args)
+        if func == "C":
+            return binom_int(*args)
+        a, b = args
+        if func == "CS":
+            if b < 0:
+                raise ValueError(f"CS needs a nonnegative bottom, got {b}")
+            return [ctx.binom(a, b) for ctx in self.ctxs]
+        if not a >= b >= 0:
+            raise ValueError(f"{func} needs a >= b >= 0, got {a}, {b}")
+        if func == "PSID":
+            return [ctx.psi(a, b) for ctx in self.ctxs]
+        if func == "PSI1D":
+            return [ctx.psi1(a, b) for ctx in self.ctxs]
+        raise ValueError(f"unknown builtin {func!r}")
+
+    def _sum(self, node: Sum, env: dict):
+        ks = range(self.ev(node.lo, env), self.ev(node.hi, env) + 1)
+        if not ks:
+            return 0
+        env = dict(env)
+        value = self._horner_sum(node, ks, env)
+        if value is not None:
+            return value
+        acc = 0
+        for k in ks:
+            env[node.binder] = k
+            acc = _lift(operator.add, acc, self.ev(node.body, env))
+        return acc
+
+    def _horner_sum(self, node: Sum, ks: range, env: dict):
+        """A sum of ``c(k) * b^e(k)``, with c free of x, b an x-only value
+        that does not use the binder and the exponents consecutive from a
+        nonnegative one, by Horner's rule at each x; None for any other."""
+        body = node.body
+        if (
+            type(body) is not Mul
+            or type(body.right) is not Pow
+            or _uses(body.left, "x")
+            or _uses(body.right.base, node.binder)
+        ):
+            return None
+        b = self.ev(body.right.base, env)
+        exps = []
+        for k in ks:
+            env[node.binder] = k
+            exps.append(self.ev(body.right.exponent, env))
+        lo = exps[0]
+        if type(b) is not tuple or lo < 0 or exps != list(range(lo, lo + len(ks))):
+            return None
+        coeffs = []
+        for k in ks:
+            env[node.binder] = k
+            coeffs.append(self.ev(body.left, env))
+        if all(type(c) is not list for c in coeffs):
+            return tuple([_horner(coeffs, x, lo) for x in b])
+        m = len(self.ctxs)
+        rows = zip(*[c if type(c) is list else [c] * m for c in coeffs])
+        return [tuple([_horner(row, x, lo) for x in b]) for row in rows]
+
+
+def _walk(side: Side, n: int, params: Params, ctxs=(), xs=()):
+    """The side's value at n over the grid ``ctxs`` x ``xs`` (see ``_Grid``)."""
+    return _Grid(ctxs, xs).ev(side.ast, {**params, "n": n})
 
 
 # ---------------------------------------------------------------------------
@@ -846,20 +417,19 @@ def sampling_verify(
     params = dict(params or {})
     entry.validate(n, params)
     bs, bx = degree_bound(entry, n)
-    lhs_fn, rhs_fn = _sides(entry.tag, variant)
+    rhs = entry.rhs_for(variant)
+    ctxs = [_point_ctx(sv) for sv in range(1, bs + 2)]
+    xs = [Fraction(xv) for xv in range(1, bx + 2)]
+    lhs_v = _walk(entry.lhs, n, params, ctxs, xs)
+    rhs_v = _walk(rhs, n, params, ctxs, xs)
     points: list[tuple[Fraction, Fraction]] = []
     all_equal = True
-    for sv in range(1, bs + 2):
-        ctx = _point_ctx(sv)
-        try:
-            for xv in range(1, bx + 2):
-                x = Fraction(xv)
-                assert ctx.s > 0 and x > 0
-                points.append((ctx.s, x))
-                if lhs_fn(ctx, x, n, params) != rhs_fn(ctx, x, n, params):
-                    all_equal = False
-        finally:
-            ctx.rows.clear()
+    for i, ctx in enumerate(ctxs):
+        for j, x in enumerate(xs):
+            assert ctx.s > 0 and x > 0
+            points.append((ctx.s, x))
+            if _at(lhs_v, i, j) != _at(rhs_v, i, j):
+                all_equal = False
     assert len(points) >= (bs + 1) * (bx + 1)
     return SampleCertificate(
         id=entry.tag,
@@ -883,14 +453,13 @@ def integer_s_check(
         raise ValueError(f"{entry.tag} has no s dependence")
     params = dict(params or {})
     entry.validate(n, params)
-    ctx = _IntegerSCtx(s0)
-    lhs_fn, rhs_fn = _sides(entry.tag, variant)
+    ctxs = [_IntegerSCtx(s0)]
+    rhs = entry.rhs_for(variant)
     _, bx = degree_bound(entry, n)
-    for xv in range(1, bx + 2):
-        x = Fraction(xv)
-        if lhs_fn(ctx, x, n, params) != rhs_fn(ctx, x, n, params):
-            return False
-    return True
+    xs = [Fraction(xv) for xv in range(1, bx + 2)]
+    lhs_v = _walk(entry.lhs, n, params, ctxs, xs)
+    rhs_v = _walk(rhs, n, params, ctxs, xs)
+    return all(_at(lhs_v, 0, j) == _at(rhs_v, 0, j) for j in range(len(xs)))
 
 
 # The two anchored single-m displays; the m=3 display disagrees with the
@@ -898,22 +467,25 @@ def integer_s_check(
 def _id14_display(n: int, m: int) -> Fraction:
     if m == 2:
         return (
-            Fraction((-1) ** n, 2) * _C(2 * n, n) * (_H(n) - Fraction(1, 2 * n))
+            Fraction((-1) ** n, 2)
+            * binom_int(2 * n, n)
+            * (harmonic(n) - Fraction(1, 2 * n))
         )
     if m == 3:
         return (
             Fraction((-1) ** n, 3)
-            * _C(3 * n, n)
-            * (2 * _H(n) - Fraction(1, 3 * n))
+            * binom_int(3 * n, n)
+            * (2 * harmonic(n) - Fraction(1, 3 * n))
         )
     raise ValueError("the displayed cases are m=2 and m=3")
 
 
 def id13_family_check(n_max: int, m_set=(2, 3, 4, 5)) -> Report:
-    """Direct-summation check of the m-parameterized family, plus the two
-    single-m displays compared against their specializations."""
+    """Evaluation of the m-parameterized family's statement (ID-13), plus
+    the two single-m displays compared against their specializations."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
+    family = lookup("ID-13")
     report = Report()
     for n in range(1, n_max + 1):
         for m in sorted(m_set):
@@ -921,7 +493,7 @@ def id13_family_check(n_max: int, m_set=(2, 3, 4, 5)) -> Report:
                 raise ValueError("parameter m must be >= 2")
             start = time.perf_counter_ns()
             params = {"m": m}
-            passed = _i13_l(None, None, n, params) == _i13_r(None, None, n, params)
+            passed = _walk(family.lhs, n, params) == _walk(family.rhs, n, params)
             elapsed = time.perf_counter_ns() - start
             report.add(
                 ReportRow(
@@ -931,7 +503,7 @@ def id13_family_check(n_max: int, m_set=(2, 3, 4, 5)) -> Report:
     for n in range(1, n_max + 1):
         for m in (2, 3):
             start = time.perf_counter_ns()
-            spec = _i13_r(None, None, n, {"m": m})
+            spec = _walk(family.rhs, n, {"m": m})
             passed = _id14_display(n, m) == spec
             elapsed = time.perf_counter_ns() - start
             report.add(

@@ -278,3 +278,60 @@ class TestVerify:
     def test_verify_all_rejects_bad_bounds(self):
         with pytest.raises(ValueError):
             verify_all(0)
+
+
+# Each psi-carrying entry and the derivation edge into it that
+# ACCEPTANCE-4/5 checks: d/ds of the parent, or the parent at x = -1.
+PSI_PARENTS = {
+    "THM-2.2": ("THM-2.1", "d/ds"),
+    "COR-2.3": ("THM-2.2", "x=-1"),
+    "THM-2.4": ("THM-2.2", "d/ds"),
+    "COR-2.5": ("THM-2.4", "x=-1"),
+    "THM-2.7": ("THM-2.6", "d/ds"),
+    "THM-2.8": ("THM-2.7", "d/ds"),
+    "THM-2.10": ("THM-2.9", "d/ds"),
+    "THM-2.11": ("THM-2.10", "d/ds"),
+}
+
+# Source rewrites, each applied to the first match in a side.
+MUTATIONS = {
+    "sign": (r"PSID\(", "-PSID("),
+    "sum bound": (r"(sum\(k=[^.]+\.\.)([^,]+),", r"\1\2-1,"),
+    "psi argument": (r"PSID\(([^,]+),", r"PSID(\1+1,"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(MUTATIONS))
+@pytest.mark.parametrize("tag", sorted(PSI_PARENTS))
+def test_a_mutated_psi_statement_fails_its_verdict_or_its_edge(tag, kind):
+    entry = lookup(tag)
+    parent_tag, op = PSI_PARENTS[tag]
+    parent = lookup(parent_tag)
+    pattern, repl = MUTATIONS[kind]
+
+    def mutate(side):
+        source, count = re.subn(pattern, repl, side.source, count=1)
+        return Side(source) if count else None
+
+    def derive(value):
+        return value.deriv_s() if op == "d/ds" else value.subst_x(-1)
+
+    lhs, rhs = mutate(entry.lhs), mutate(entry.rhs)
+    placements = [(lhs, entry.rhs)] if lhs else []
+    if rhs:
+        placements.append((entry.lhs, rhs))
+        if lhs:
+            placements.append((lhs, rhs))
+    assert placements
+    for left, right in placements:
+        caught = False
+        for n in range(1, 7):
+            lv, rv = left(n), right(n)
+            caught = (
+                not bifrac_eq(lv, rv)
+                or not bifrac_eq(derive(parent.lhs(n)), lv)
+                or not bifrac_eq(derive(parent.rhs(n)), rv)
+            )
+            if caught:
+                break
+        assert caught, (tag, kind, left.source, right.source)

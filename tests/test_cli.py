@@ -148,6 +148,24 @@ class TestVerify:
         assert len(r.stdout_bytes) == 190_755
         assert hashlib.sha256(r.stdout_bytes).hexdigest() == self.GOLDEN_N25_SHA256
 
+    # the same for the n <= 10 sweep with both oracles folded in, so a
+    # change of any oracle verdict changes it too
+    GOLDEN_ORACLE_N10_SHA256 = (
+        "c27b312339435d2c5f9b7de47cb7804cb3a87271813cfb5852f1d016408c2e2c"
+    )
+
+    def test_oracle_report_is_byte_identical_to_the_golden_one(self, runner):
+        r = invoke(
+            runner, "verify", "--all", "--n-max", "10", "--oracle", "both",
+            "--workers", "1", "--format", "json", "--no-timing",
+        )
+        assert r.exit_code == 0
+        assert len(r.stdout_bytes) == 78_173
+        assert (
+            hashlib.sha256(r.stdout_bytes).hexdigest()
+            == self.GOLDEN_ORACLE_N10_SHA256
+        )
+
 
 class TestDslCommand:
     def write(self, tmp_path, text):

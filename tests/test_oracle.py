@@ -1,13 +1,15 @@
 """Numeric cross-checks that never touch the symbolic evaluators."""
 
+import ast
 import dataclasses
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from hforge import oracle
 from hforge.catalog import catalog as catalog_entries
-from hforge.catalog import eval_side, lookup, plan_cells
+from hforge.catalog import Side, eval_side, lookup, plan_cells, tags
 from hforge.oracle import (
     SampleCertificate,
     degree_bound,
@@ -58,27 +60,45 @@ class TestPointCtx:
                     )
                     assert oracle._horner(coeffs[:m], x, lo) == want
 
-    @pytest.mark.parametrize("tag", ["THM-2.1", "THM-2.2", "THM-2.4", "ID-7", "ID-9"])
+    @pytest.mark.parametrize("tag", tags())
     def test_each_side_equals_the_catalog_side_at_its_sample_points(self, tag):
         entry = lookup(tag)
-        lhs_fn, rhs_fn = oracle._sides(tag, None)
+        sides = [("lhs", None, entry.lhs)] + [
+            ("rhs", v, entry.rhs_for(v)) for v in [None, *sorted(entry.rhs_variants)]
+        ]
         ctxs = {}
-        for n in range(1, 7):
-            lhs = eval_side(entry, "lhs", n)
-            rhs = eval_side(entry, "rhs", n)
-            for s, x in sampling_verify(entry, n).sample_points:
-                # one context per s across every n, so a row of one n
-                # must never answer for another
-                ctx = ctxs.setdefault(s, oracle._PointCtx(s))
-                assert lhs_fn(ctx, x, n, {}) == lhs.eval(s, x), (tag, n, s, x)
-                assert rhs_fn(ctx, x, n, {}) == rhs.eval(s, x), (tag, n, s, x)
-            if "s" in entry.domain:
-                for s0 in (1, 2, 5):
-                    ctx = oracle._IntegerSCtx(s0)
-                    for xv in range(1, degree_bound(entry, n)[1] + 2):
-                        x = Fraction(xv)
-                        assert lhs_fn(ctx, x, n, {}) == lhs.eval(s0, x)
-                        assert rhs_fn(ctx, x, n, {}) == rhs.eval(s0, x)
+        for n in range(entry.n_min, 7):
+            for params in entry.default_param_grid():
+                points = sampling_verify(entry, n, params).sample_points
+                ss = sorted({s for s, _ in points})
+                xs = sorted({x for _, x in points})
+                assert len(points) == len(ss) * len(xs)
+                # one context per s across every n and side, as the memo
+                # shares them across cells
+                grid = [ctxs.setdefault(s, oracle._PointCtx(s)) for s in ss]
+                for name, variant, side in sides:
+                    want = eval_side(entry, name, n, params, variant)
+                    got = oracle._walk(side, n, params, grid, xs)
+                    for i, s in enumerate(ss):
+                        for j, x in enumerate(xs):
+                            assert oracle._at(got, i, j) == want.eval(s, x), (
+                                tag, n, params, name, variant, s, x
+                            )
+                    if "s" in entry.domain:
+                        for s0 in (1, 2, 5):
+                            got = oracle._walk(
+                                side, n, params, [oracle._IntegerSCtx(s0)], xs
+                            )
+                            for j, x in enumerate(xs):
+                                assert oracle._at(got, 0, j) == want.eval(s0, x), (
+                                    tag, n, name, s0, x
+                                )
+
+    def test_builtins_outside_their_domain_are_errors(self):
+        grid = [oracle._PointCtx(1)]
+        for source in ("CS(n,-1)", "PSID(n,n+1)", "PSI1D(n+1,-1)"):
+            with pytest.raises(ValueError):
+                oracle._walk(Side(source), 2, {}, grid, [])
 
 
 def _oracle_sweep(n_max):
@@ -132,13 +152,6 @@ class TestPointMemo:
                 assert point_memo_info() == (0, 0, 0)
         finally:
             set_memoization(True)
-
-    def test_rows_do_not_outlive_a_check(self):
-        set_memoization(True)
-        sampling_verify(lookup("THM-2.4"), 3)
-        assert point_memo_info().size == 18
-        for s in range(1, 19):
-            assert oracle._point_ctx(s).rows == {}
 
 
 class TestDegreeBound:
@@ -289,3 +302,19 @@ def test_oracle_and_symbolic_engine_agree_per_cell():
             assert symbolic == sampled, e.tag
             if "s" in e.domain:
                 assert integer_s_check(e, n, 2, params) == symbolic, e.tag
+
+
+def test_the_oracle_imports_nothing_from_the_symbolic_engine():
+    banned = ("hforge.bivar", "hforge.exact", "hforge.dsl.evaluator")
+    tree = ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            base = "hforge" if node.level else ""
+            module = ".".join(p for p in (base, node.module or "") if p)
+            names = [module] + [f"{module}.{a.name}" for a in node.names]
+        elif isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        else:
+            continue
+        for name in names:
+            assert not any(name == b or name.startswith(b + ".") for b in banned), name
