@@ -22,7 +22,7 @@ from . import __version__, dsl
 # ``verify`` stays importable here for perfbench/spans.py, which looks it up.
 from .catalog import IdentityEntry, catalog, lookup, verify, verify_all  # noqa: F401
 from .exact import PoleError
-from .oracle import integer_s_check, sampling_verify
+from .oracle import INTEGER_S_POINTS, integer_s_check, sampling_verify
 from .report import Report, ReportRow
 from .special import set_memoization
 
@@ -139,7 +139,7 @@ def _fold_oracle(report: Report, mode: str) -> Report:
             agree = all(
                 integer_s_check(entry, row.n, s0, params, variant=variant)
                 == row.passed
-                for s0 in (0, 1, 2, 5)
+                for s0 in INTEGER_S_POINTS
             )
             if not agree:
                 folded = _annotate_disagreement(row, "integer-s")

@@ -11,20 +11,30 @@ checked tree (``Side.ast``), with arithmetic of their own:
   a difference of harmonic numbers and no rational-function value is
   ever constructed.
 
-The independence lies in the evaluator: a plain-``Fraction`` walk of the
-tree with its own binomial and digamma primitives.  Nothing here calls
-into ``bivar``, ``exact`` or ``dsl.evaluator``.
+The independence lies in the evaluator: a walk of the tree with its own
+exact rationals (``_Rat``) and its own binomial and digamma primitives.
+Nothing here calls into ``bivar``, ``exact`` or ``dsl.evaluator``.
+
+``_Rat`` is a reduced rational with a positive denominator.  It does
+``Fraction``'s arithmetic by ``Fraction``'s algorithms (Henrici's gcd
+method for sums; Knuth, TAOCP vol. 2 §4.5.1) without its constructor and
+operator dispatch, which is where a ``Fraction`` walk spent its time.
+Integers stay ``int``; ``harmonic`` values and rational literals become
+``_Rat`` at the leaf.  The sample points themselves, ``ctx.s`` and the x
+grid, stay ``Fraction``, and so do the certificates.
 
 One walk evaluates a side over a cell's whole grid (``_Grid``).  A value
 that depends on neither s nor x is computed once per cell, one that
-depends on x alone once per x, and one free of x once per s.  A sum
-shaped ``c(k) * b^e(k)`` with consecutive exponents builds its
-coefficient list once per s and evaluates it by Horner's rule at each x.
-At a sample value s, ``_PointCtx`` keeps prefix sums of ``1/(s+j)`` and
-``1/(s+j)^2`` and the binomials ``C(s+shift, k)``, grown on demand;
-while memoization is on (``special.set_memoization``), one context per
-integer s serves every cell of a sweep, and ``point_memo_info`` reports
-its use.
+depends on x alone once per x, and one free of x once per s.  A product
+multiplies its factors free of s and x first, then applies the result
+to the others once.  A sum shaped ``c(k) * b^e(k)`` with consecutive
+exponents builds its coefficient list once per s, brings it to one
+integer row over a common denominator, and evaluates that row by
+Horner's rule at each x.  At a sample value s, ``_PointCtx`` keeps prefix
+sums of ``1/(s+j)`` and ``1/(s+j)^2`` and the binomials ``C(s+shift, k)``,
+grown on demand; while memoization is on (``special.set_memoization``),
+one context per integer s serves every cell of a sweep, and
+``point_memo_info`` reports its use.
 """
 
 from __future__ import annotations
@@ -65,6 +75,136 @@ from .special import (
 
 Params = Mapping[str, int]
 
+# The values of s at which ``verify --oracle integer-s`` checks a cell.
+INTEGER_S_POINTS = (0, 1, 2, 5)
+
+
+class _Rat:
+    """A rational in lowest terms with a positive denominator.
+
+    Built only by the operations below and by ``_rat``, which keep that
+    form, so ``==`` compares the fields, also against an ``int`` or a
+    ``Fraction``.  The other operand of an operation is a ``_Rat`` or an
+    ``int``; a zero divisor raises ``ZeroDivisionError``.
+    """
+
+    __slots__ = ("numerator", "denominator")
+
+    def __init__(self, numerator: int, denominator: int = 1):
+        self.numerator = numerator
+        self.denominator = denominator
+
+    def __repr__(self):
+        return f"_Rat({self.numerator}, {self.denominator})"
+
+    def __eq__(self, other):
+        if isinstance(other, (_Rat, int, Fraction)):
+            return (
+                self.numerator == other.numerator
+                and self.denominator == other.denominator
+            )
+        return NotImplemented
+
+    def __neg__(self):
+        return _Rat(-self.numerator, self.denominator)
+
+    def __add__(a, b):
+        if type(b) is int:
+            return _Rat(a.numerator + b * a.denominator, a.denominator)
+        if type(b) is _Rat:
+            return _plus(a.numerator, a.denominator, b.numerator, b.denominator)
+        return NotImplemented
+
+    __radd__ = __add__
+
+    def __sub__(a, b):
+        if type(b) is int:
+            return _Rat(a.numerator - b * a.denominator, a.denominator)
+        if type(b) is _Rat:
+            return _plus(a.numerator, a.denominator, -b.numerator, b.denominator)
+        return NotImplemented
+
+    def __rsub__(a, b):
+        if type(b) is int:
+            return _Rat(b * a.denominator - a.numerator, a.denominator)
+        return NotImplemented
+
+    def __mul__(a, b):
+        na, da = a.numerator, a.denominator
+        if type(b) is int:
+            g = math.gcd(b, da)
+            return _Rat(na * (b // g), da // g)
+        if type(b) is not _Rat:
+            return NotImplemented
+        nb, db = b.numerator, b.denominator
+        g1 = math.gcd(na, db)
+        if g1 > 1:
+            na //= g1
+            db //= g1
+        g2 = math.gcd(nb, da)
+        if g2 > 1:
+            nb //= g2
+            da //= g2
+        return _Rat(na * nb, da * db)
+
+    __rmul__ = __mul__
+
+    def __truediv__(a, b):
+        if type(b) is int:
+            return _quotient(a.numerator, a.denominator, b, 1)
+        if type(b) is _Rat:
+            return _quotient(a.numerator, a.denominator, b.numerator, b.denominator)
+        return NotImplemented
+
+    def __rtruediv__(a, b):
+        if type(b) is int:
+            return _quotient(b, 1, a.numerator, a.denominator)
+        return NotImplemented
+
+    def __pow__(a, e):
+        if type(e) is not int:
+            return NotImplemented
+        if e >= 0:
+            return _Rat(a.numerator**e, a.denominator**e)
+        return _quotient(1, 1, a.numerator**-e, a.denominator**-e)
+
+
+def _plus(na: int, da: int, nb: int, db: int) -> _Rat:
+    """na/da + nb/db for reduced operands, by Henrici's method: one gcd of
+    the denominators, then one of the result's numerator with it."""
+    g = math.gcd(da, db)
+    if g == 1:
+        return _Rat(na * db + da * nb, da * db)
+    s = da // g
+    t = na * (db // g) + nb * s
+    g2 = math.gcd(t, g)
+    if g2 == 1:
+        return _Rat(t, s * db)
+    return _Rat(t // g2, s * (db // g2))
+
+
+def _quotient(na: int, da: int, nb: int, db: int) -> _Rat:
+    """(na/da) / (nb/db) for reduced operands, cross-cancelled."""
+    if nb == 0:
+        raise ZeroDivisionError("division by zero")
+    g1 = math.gcd(na, nb)
+    if g1 > 1:
+        na //= g1
+        nb //= g1
+    g2 = math.gcd(db, da)
+    if g2 > 1:
+        da //= g2
+        db //= g2
+    n, d = na * db, nb * da
+    if d < 0:
+        return _Rat(-n, -d)
+    return _Rat(n, d)
+
+
+def _rat(value) -> _Rat:
+    """An ``int`` or ``Fraction`` (or ``_Rat``) as a ``_Rat``."""
+    return _Rat(value.numerator, value.denominator)
+
 
 class _PointCtx:
     """Direct-summation primitives at one exact rational point s.
@@ -78,36 +218,37 @@ class _PointCtx:
     (``_point_ctx``).
     """
 
-    __slots__ = ("s", "_p1", "_p2", "_binom")
+    __slots__ = ("s", "_s", "_p1", "_p2", "_binom")
 
     def __init__(self, s):
         self.s = Fraction(s)
-        self._p1 = [Fraction(0)]
-        self._p2 = [Fraction(0)]
-        self._binom: dict[int, list[Fraction]] = {}
+        self._s = _rat(self.s)
+        self._p1 = [_Rat(0)]
+        self._p2 = [_Rat(0)]
+        self._binom: dict[int, list[_Rat]] = {}
 
-    def psi(self, a: int, b: int) -> Fraction:
+    def psi(self, a: int, b: int) -> _Rat:
         """psi(s+a) - psi(s+b) for a >= b >= 0, as the finite sum of 1/(s+j)."""
         p = self._p1
         while len(p) <= a:
-            p.append(p[-1] + 1 / (self.s + len(p) - 1))
+            p.append(p[-1] + 1 / (self._s + len(p) - 1))
         return p[a] - p[b]
 
-    def psi1(self, a: int, b: int) -> Fraction:
+    def psi1(self, a: int, b: int) -> _Rat:
         """psi'(s+a) - psi'(s+b) for a >= b >= 0."""
         p = self._p2
         while len(p) <= a:
-            p.append(p[-1] + 1 / (self.s + len(p) - 1) ** 2)
+            p.append(p[-1] + 1 / (self._s + len(p) - 1) ** 2)
         return p[b] - p[a]
 
-    def binom(self, shift: int, k: int) -> Fraction:
+    def binom(self, shift: int, k: int) -> _Rat:
         """C(s+shift, k) as the falling-factorial product, one factor per k."""
         col = self._binom.get(shift)
         if col is None:
-            col = self._binom[shift] = [Fraction(1)]
+            col = self._binom[shift] = [_Rat(1)]
         while len(col) <= k:
             j = len(col)
-            col.append(col[-1] * (self.s + shift - j + 1) / j)
+            col.append(col[-1] * (self._s + shift - j + 1) / j)
         return col[k]
 
 
@@ -145,40 +286,46 @@ class _IntegerSCtx:
         self.s0 = s0
         self.s = Fraction(s0)
 
-    def psi(self, a: int, b: int) -> Fraction:
-        return harmonic(self.s0 + a - 1) - harmonic(self.s0 + b - 1)
+    def psi(self, a: int, b: int) -> _Rat:
+        return _rat(harmonic(self.s0 + a - 1) - harmonic(self.s0 + b - 1))
 
-    def psi1(self, a: int, b: int) -> Fraction:
-        return -(
-            harmonic_gen(self.s0 + a - 1, 2) - harmonic_gen(self.s0 + b - 1, 2)
+    def psi1(self, a: int, b: int) -> _Rat:
+        return _rat(
+            harmonic_gen(self.s0 + b - 1, 2) - harmonic_gen(self.s0 + a - 1, 2)
         )
 
-    def binom(self, shift: int, k: int) -> Fraction:
+    def binom(self, shift: int, k: int) -> int | _Rat:
         top = self.s0 + shift
         if top >= 0:
-            return binom_int(top, k)
-        v = Fraction(1)
+            return binom_int(top, k).numerator
+        v = _Rat(1)
         for j in range(1, k + 1):
             v = v * (top - k + j) / j
         return v
 
 
-def _horner(coeffs: list[Fraction], x: Fraction, lo: int = 0) -> Fraction:
-    """sum_i coeffs[i] * x^(lo+i), by Horner's rule.
+def _horner_row(coeffs: list, lo: int, xs) -> tuple:
+    """The values of sum_i coeffs[i] * x^(lo+i) at each x in xs, by
+    Horner's rule.
 
-    The rule runs on integers: with ``coeffs[i] = a_i / den`` over their
-    common denominator and x = p/q, step i of m adds ``a_i * q^(m-i)``, and
-    only the result is reduced.
+    The rule runs on integers: the coefficients are brought to one common
+    denominator, ``coeffs[i] = a_i / den``, once for the row; at x = p/q,
+    step i of m adds ``a_i * q^(m-i)``, and only the result is reduced.
     """
     # a list, not a generator: unpacking a generator here raised the
     # oracle sweep's peak memory by about 1 MB under CPython 3.11
     den = math.lcm(*[c.denominator for c in coeffs])
-    p, q = x.numerator, x.denominator
-    acc, qk = 0, 1
-    for c in reversed(coeffs):
-        acc = acc * p + c.numerator * (den // c.denominator) * qk
-        qk *= q
-    return Fraction(acc * p ** lo * q, den * qk * q ** lo)
+    row = [c.numerator * (den // c.denominator) for c in reversed(coeffs)]
+    out = []
+    for x in xs:
+        p, q = x.numerator, x.denominator
+        acc, qk = 0, 1
+        for a in row:
+            acc = acc * p + a * qk
+            qk *= q
+        out.append(_quotient(acc * p**lo * q, 1, den * qk * q**lo, 1))
+    return tuple(out)
+
 
 
 # ---------------------------------------------------------------------------
@@ -188,11 +335,11 @@ def _horner(coeffs: list[Fraction], x: Fraction, lo: int = 0) -> Fraction:
 
 def _div(a, b):
     if type(a) is int and type(b) is int:
-        return Fraction(a, b)
+        return _quotient(a, 1, b, 1)
     return a / b
 
 
-_BINARY = {Add: operator.add, Sub: operator.sub, Mul: operator.mul, Div: _div}
+_BINARY = {Add: operator.add, Sub: operator.sub}
 
 
 def _lift(op, a, b):
@@ -235,6 +382,22 @@ def _at(value, i: int, j: int):
     return value
 
 
+def _factors(node, inverted: bool, out: list) -> list:
+    """The factors of a product chain as (node, inverted) pairs, in order.
+
+    A quotient is split only where it is not itself a divisor, so each
+    divisor's zero still raises: ``a/(b*c)`` gives b and c inverted, and
+    ``a/(b/c)`` keeps ``b/c`` whole.
+    """
+    kind = type(node)
+    if kind is Mul or (kind is Div and not inverted):
+        _factors(node.left, inverted, out)
+        _factors(node.right, inverted or kind is Div, out)
+    else:
+        out.append((node, inverted))
+    return out
+
+
 def _uses(node, name: str) -> bool:
     """Whether ``name`` occurs free in the tree."""
     if type(node) is Var:
@@ -257,11 +420,13 @@ class _Grid:
 
     def __init__(self, ctxs, xs):
         self.ctxs = ctxs
-        self.s = [ctx.s for ctx in ctxs]
-        self.x = tuple(xs)
+        self.s = [_rat(ctx.s) for ctx in ctxs]
+        self.x = tuple(map(_rat, xs))
 
     def ev(self, node, env: dict):
         kind = type(node)
+        if kind is Mul or kind is Div:
+            return self._product(node, env)
         op = _BINARY.get(kind)
         if op is not None:
             return _lift(op, self.ev(node.left, env), self.ev(node.right, env))
@@ -272,8 +437,10 @@ class _Grid:
             if name == "x":
                 return self.x
             return env[name]
-        if kind is IntLit or kind is RatLit:
+        if kind is IntLit:
             return node.value
+        if kind is RatLit:
+            return _rat(node.value)
         if kind is Call:
             return self._call(node.func, [self.ev(a, env) for a in node.args])
         if kind is Sum:
@@ -281,19 +448,40 @@ class _Grid:
         if kind is Pow:
             e = self.ev(node.exponent, env)
             if e < 0:
-                return _map(lambda v: Fraction(v) ** e, self.ev(node.base, env))
+                return _map(lambda v: _rat(v) ** e, self.ev(node.base, env))
             return _map(lambda v: v ** e, self.ev(node.base, env))
         if kind is Neg:
             return _map(operator.neg, self.ev(node.child, env))
         raise TypeError(f"cannot evaluate {kind.__name__}")
 
+    def _product(self, node, env: dict):
+        """A chain of ``*`` and ``/``: the factors free of s and x are
+        combined first, and their product is applied to the others once."""
+        scalar, rest = 1, []
+        for factor, inverted in _factors(node, False, []):
+            v = self.ev(factor, env)
+            if type(v) is list or type(v) is tuple:
+                rest.append((_div if inverted else operator.mul, v))
+            elif inverted:
+                scalar = _div(scalar, v)
+            else:
+                scalar = scalar * v
+        if not rest:
+            return scalar
+        op, acc = rest[0]
+        if op is _div or scalar != 1:
+            acc = _lift(op, scalar, acc)
+        for op, v in rest[1:]:
+            acc = _lift(op, acc, v)
+        return acc
+
     def _call(self, func: str, args: list[int]):
         if func == "H":
-            return harmonic(*args)
+            return _rat(harmonic(*args))
         if func == "Hr":
-            return harmonic_gen(*args)
+            return _rat(harmonic_gen(*args))
         if func == "C":
-            return binom_int(*args)
+            return binom_int(*args).numerator
         a, b = args
         if func == "CS":
             if b < 0:
@@ -346,10 +534,10 @@ class _Grid:
             env[node.binder] = k
             coeffs.append(self.ev(body.left, env))
         if all(type(c) is not list for c in coeffs):
-            return tuple([_horner(coeffs, x, lo) for x in b])
+            return _horner_row(coeffs, lo, b)
         m = len(self.ctxs)
         rows = zip(*[c if type(c) is list else [c] * m for c in coeffs])
-        return [tuple([_horner(row, x, lo) for x in b]) for row in rows]
+        return [_horner_row(row, lo, b) for row in rows]
 
 
 def _walk(side: Side, n: int, params: Params, ctxs=(), xs=()):
@@ -420,17 +608,20 @@ def sampling_verify(
     rhs = entry.rhs_for(variant)
     ctxs = [_point_ctx(sv) for sv in range(1, bs + 2)]
     xs = [Fraction(xv) for xv in range(1, bx + 2)]
+    # the proof needs a positive grid of at least (bs+1) x (bx+1) points
+    if min(ctx.s for ctx in ctxs) <= 0 or min(xs) <= 0:
+        raise RuntimeError(f"{entry.tag}: sample points must be positive")
+    if len(ctxs) * len(xs) < (bs + 1) * (bx + 1):
+        raise RuntimeError(f"{entry.tag}: sample grid below the degree bound")
     lhs_v = _walk(entry.lhs, n, params, ctxs, xs)
     rhs_v = _walk(rhs, n, params, ctxs, xs)
     points: list[tuple[Fraction, Fraction]] = []
     all_equal = True
     for i, ctx in enumerate(ctxs):
         for j, x in enumerate(xs):
-            assert ctx.s > 0 and x > 0
             points.append((ctx.s, x))
             if _at(lhs_v, i, j) != _at(rhs_v, i, j):
                 all_equal = False
-    assert len(points) >= (bs + 1) * (bx + 1)
     return SampleCertificate(
         id=entry.tag,
         n=n,

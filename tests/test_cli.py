@@ -166,6 +166,23 @@ class TestVerify:
             == self.GOLDEN_ORACLE_N10_SHA256
         )
 
+    # n <= 15, where the oracle's numbers are larger (about 2-3 s)
+    GOLDEN_ORACLE_N15_SHA256 = (
+        "82f73df34d24e4261c2ff0f191a92d9d2269016c8a6ef36a60f196e7336cca84"
+    )
+
+    def test_n15_oracle_report_is_byte_identical_to_the_golden_one(self, runner):
+        r = invoke(
+            runner, "verify", "--all", "--n-max", "15", "--oracle", "both",
+            "--workers", "1", "--format", "json", "--no-timing",
+        )
+        assert r.exit_code == 0
+        assert len(r.stdout_bytes) == 117_462
+        assert (
+            hashlib.sha256(r.stdout_bytes).hexdigest()
+            == self.GOLDEN_ORACLE_N15_SHA256
+        )
+
 
 class TestDslCommand:
     def write(self, tmp_path, text):

@@ -2,10 +2,14 @@
 
 import ast
 import dataclasses
+import math
+import operator
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hforge import oracle
 from hforge.catalog import catalog as catalog_entries
@@ -30,6 +34,110 @@ def _falling(s, shift, k):
     return v
 
 
+# ints (zero and negative included) and rationals whose denominators share
+# factors, so that both gcds of Henrici's method and the cross-cancelling
+# of products and quotients have work to do
+operands = st.one_of(
+    st.integers(-12, 12),
+    st.builds(
+        Fraction,
+        st.integers(-10**6, 10**6),
+        st.sampled_from([1, 2, 3, 4, 6, 9, 12, 36, 360, 720, 1001]),
+    ),
+)
+steps = st.lists(
+    st.one_of(
+        st.tuples(st.sampled_from("+-*/"), st.booleans(), operands),
+        st.tuples(st.just("neg"), st.just(False), st.just(0)),
+        st.tuples(st.just("**"), st.just(False), st.integers(-3, 3)),
+    ),
+    max_size=8,
+)
+
+
+def _as_oracle_value(v: Fraction):
+    """What the walk holds for v: an int when whole, else a _Rat."""
+    return v.numerator if v.denominator == 1 else oracle._rat(v)
+
+
+def _assert_same(r, f: Fraction):
+    if type(r) is oracle._Rat:
+        assert r.denominator > 0 and math.gcd(r.numerator, r.denominator) == 1
+    else:
+        assert type(r) is int
+    assert (r.numerator, r.denominator) == (f.numerator, f.denominator)
+    assert r == f and f == r
+    assert r != f + 1 and f + 1 != r
+    if f:
+        near = Fraction(f.numerator, f.denominator + 1)
+        assert r != near and near != r
+    if f.denominator == 1:
+        assert r == f.numerator and f.numerator == r
+
+
+class TestRat:
+    """``_Rat`` against ``Fraction``: same values, always canonical."""
+
+    @given(operands, steps)
+    @settings(max_examples=300, deadline=None)
+    def test_arithmetic_matches_fraction(self, start, ops):
+        f = Fraction(start)
+        r = _as_oracle_value(f)
+        for op, swap, arg in ops:
+            if op == "neg":
+                r, f = -r, -f
+            elif op == "**":
+                if f == 0 and arg < 0:
+                    with pytest.raises(ZeroDivisionError):
+                        oracle._rat(r) ** arg
+                    continue
+                r, f = oracle._rat(r) ** arg, f**arg
+            else:
+                g = Fraction(arg)
+                a, b = (_as_oracle_value(g), r) if swap else (r, _as_oracle_value(g))
+                fa, fb = (g, f) if swap else (f, g)
+                if op == "/" and fb == 0:
+                    with pytest.raises(ZeroDivisionError):
+                        oracle._div(a, b)
+                    continue
+                fn = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+                r = oracle._div(a, b) if op == "/" else fn[op](a, b)
+                f = fa / fb if op == "/" else fn[op](fa, fb)
+            _assert_same(r, f)
+
+    def test_an_int_quotient_is_reduced(self):
+        for a, b in [(6, -4), (-6, 4), (0, -7), (12, 3), (-5, -10)]:
+            _assert_same(oracle._div(a, b), Fraction(a, b))
+        with pytest.raises(ZeroDivisionError):
+            oracle._div(0, 0)
+
+    def test_a_zero_divisor_raises_in_a_regrouped_product(self):
+        # the s-free factors, the zero divisor among them, are combined
+        # before the s-dependent ones are applied
+        grid = [oracle._PointCtx(1), oracle._PointCtx(2)]
+        xs = [Fraction(1), Fraction(3)]
+        for source in (
+            "CS(n,1) * 2 / (n-n)",
+            "0 * CS(n,1) / (n-n)",
+            "CS(n,1) / ((n+1) * (n-n))",
+            "x * CS(n,1) / (2*n - 2*n) * PSID(n,1)",
+            "CS(n,1) / (s - 1)",
+        ):
+            with pytest.raises(ZeroDivisionError):
+                oracle._walk(Side(source), 2, {}, grid, xs)
+
+    def test_a_regrouped_product_keeps_its_value(self):
+        grid = [oracle._PointCtx(s) for s in (1, 2, 3)]
+        xs = [Fraction(1), Fraction(2)]
+        source = "2/(n+1) * CS(n,1) * x / (n*3) * PSID(n,1) / (1/(x+1)) * (-1)^n"
+        got = oracle._walk(Side(source), 4, {}, grid, xs)
+        for i, ctx in enumerate(grid):
+            for j, x in enumerate(xs):
+                psid = sum(1 / (ctx.s + t) for t in (1, 2, 3))
+                want = Fraction(2, 5) * (ctx.s + 4) * x / 12 * psid * (x + 1)
+                assert oracle._at(got, i, j) == want
+
+
 class TestPointCtx:
     def test_psi_and_psi1_match_the_direct_sums(self):
         for s in POINTS:
@@ -50,15 +158,23 @@ class TestPointCtx:
                 assert ctx.binom(shift, k) == _falling(s, shift, k), (s, shift, k)
 
     def test_horner_matches_the_direct_sum(self):
-        coeffs = [Fraction(3, 7), Fraction(-5, 6), Fraction(0), Fraction(11, 4)]
-        for x in (Fraction(2), Fraction(-3, 5), Fraction(7, 8), Fraction(0)):
-            for lo in range(3):
-                for m in range(len(coeffs) + 1):
+        # one row evaluated at every x at once, as _horner_sum calls it;
+        # the empty row (m = 0), lo > 0 and negative x included
+        coeffs = [Fraction(3, 7), Fraction(-5, 6), 0, Fraction(11, 4), -2]
+        xs = (Fraction(2), Fraction(-3, 5), Fraction(7, 8), Fraction(0), Fraction(-4))
+        for lo in range(3):
+            for m in range(len(coeffs) + 1):
+                row = [oracle._rat(c) if c else c for c in coeffs[:m]]
+                got = oracle._horner_row(row, lo, tuple(map(oracle._rat, xs)))
+                assert len(got) == len(xs)
+                for x, value in zip(xs, got):
                     want = sum(
                         (c * x ** (lo + i) for i, c in enumerate(coeffs[:m])),
                         Fraction(0),
                     )
-                    assert oracle._horner(coeffs[:m], x, lo) == want
+                    assert value == want, (lo, m, x)
+                    assert math.gcd(value.numerator, value.denominator) == 1
+                    assert value.denominator > 0
 
     @pytest.mark.parametrize("tag", tags())
     def test_each_side_equals_the_catalog_side_at_its_sample_points(self, tag):
@@ -110,7 +226,7 @@ def _oracle_sweep(n_max):
             if "s" in e.domain:
                 ints = tuple(
                     integer_s_check(e, n, s0, params, variant=variant)
-                    for s0 in (0, 1, 2, 5)
+                    for s0 in oracle.INTEGER_S_POINTS
                 )
             out.append((e.tag, n, sorted(params.items()), variant, cert, ints))
     return out
@@ -302,6 +418,18 @@ def test_oracle_and_symbolic_engine_agree_per_cell():
             assert symbolic == sampled, e.tag
             if "s" in e.domain:
                 assert integer_s_check(e, n, 2, params) == symbolic, e.tag
+
+
+def test_the_certificate_checks_survive_python_o():
+    # an assert vanishes under -O, and with it the proof's preconditions
+    tree = ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
+    assert not [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+
+
+def test_a_nonpositive_sample_point_is_refused(monkeypatch):
+    monkeypatch.setattr(oracle, "_point_ctx", lambda sv: oracle._PointCtx(sv - 1))
+    with pytest.raises(RuntimeError, match="positive"):
+        sampling_verify(lookup("THM-2.6"), 3)
 
 
 def test_the_oracle_imports_nothing_from_the_symbolic_engine():
