@@ -5,10 +5,18 @@ TAOCP vol. 2, 4.6.1): a positive rational content times a dict from
 ``(x_degree, s_degree)`` to coprime integers.  The form is unique, so
 equality and hashing are exact and cheap, and arithmetic runs on integers;
 the rational coefficients are a derived, cached, read-only ``terms`` view.
+Products of integer parts whose smaller operand has at least
+``PACKED_MUL_MIN_TERMS`` terms run by Kronecker substitution: each part is
+packed into one Python int and a single big-int product does the
+convolution; smaller products run the schoolbook loop.
 ``BiFrac`` is a quotient of two ``BiPoly`` values that is *never* reduced
 by a multivariate gcd; equality is decided by cross-multiplication
 (``a/b == c/d`` iff ``a*d == c*b``), with only cheap opportunistic
-stripping of shared rational content and shared monomials.
+stripping of shared rational content and shared monomials.  The two
+cross products are never expanded: their contents are compared, then
+their packed primitive parts as two big-int products, which is exact
+because the slots are wide enough that no digit carries (see
+``BiFrac.__eq__``).
 
 ``FactoredFrac`` is the internal evaluation workhorse: a fraction whose
 denominator is kept as an insertion-ordered ``{factor: multiplicity}``
@@ -67,6 +75,84 @@ def _primitive(scale: Fraction, ints: dict[Key, int]) -> tuple[Fraction, dict[Ke
     if scale < 0:
         return -scale, {k: -v for k, v in ints.items()}
     return scale, ints
+
+
+# -- Kronecker substitution ---------------------------------------------------
+#
+# A primitive part ``{(i, j): int}`` packs into one Python int: the
+# coefficient of x^i s^j goes, as a signed w-byte digit, into slot
+# ``i*stride + j``.  That is the polynomial evaluated at s = 2^(8w) and
+# x = 2^(8w*stride), a ring homomorphism, so one big-int product (CPython's
+# Karatsuba) computes the whole convolution (Harvey, "Faster polynomial
+# multiplication via multipoint Kronecker substitution", J. Symb. Comput.
+# 2009).  When stride exceeds the product's s-degree and every product
+# coefficient c has |c| < 2^(8w-1), the slots neither overlap nor carry,
+# and the balanced base-2^(8w) digits of the product are its coefficients.
+
+# A product whose smaller operand has fewer terms than this runs the
+# schoolbook loop: there, packing and unpacking cost more than the
+# pairwise products they replace (measured over the catalog's products).
+PACKED_MUL_MIN_TERMS = 9
+
+
+def _slot_width(ta: dict[Key, int], tb: dict[Key, int]) -> int:
+    """Bytes per slot so that every coefficient c of ``ta * tb`` has
+    |c| < 2^(8w-1): each is a sum of at most min(len) pairwise products."""
+    bound = (
+        max(map(abs, ta.values()))
+        * max(map(abs, tb.values()))
+        * min(len(ta), len(tb))
+    )
+    return bound.bit_length() // 8 + 1
+
+
+def _pack(t: dict[Key, int], stride: int, w: int) -> int:
+    """``sum t[(i, j)] * 2^(8w*(i*stride + j))``; needs ``j < stride`` and
+    |t[k]| < 2^(8w) for every key.  The positive and the negative
+    coefficients fill one byte buffer each, and their difference is the
+    packed value."""
+    size = (max(i for i, _ in t) + 1) * stride * w
+    pos = bytearray(size)
+    neg = None
+    for (i, j), v in t.items():
+        at = (i * stride + j) * w
+        if v > 0:
+            pos[at:at + w] = v.to_bytes(w, "little")
+        else:
+            if neg is None:
+                neg = bytearray(size)
+            neg[at:at + w] = (-v).to_bytes(w, "little")
+    packed = int.from_bytes(pos, "little")
+    if neg is not None:
+        packed -= int.from_bytes(neg, "little")
+    return packed
+
+
+def _unpack(packed: int, stride: int, w: int, rows: int) -> dict[Key, int]:
+    """The nonzero balanced digits of ``packed`` as ``{(i, j): int}``, for
+    a value of ``rows * stride`` digits that all satisfy |c| < 2^(8w-1)."""
+    slots = rows * stride
+    half = int.from_bytes((bytes(w - 1) + b"\x80") * slots, "little")
+    # Adding 2^(8w-1) to every slot makes each digit nonnegative without a
+    # carry; flipping that bit back leaves each slot in two's complement.
+    buf = ((packed + half) ^ half).to_bytes(slots * w, "little")
+    out: dict[Key, int] = {}
+    for i in range(rows):
+        at = i * stride * w
+        for j in range(stride):
+            v = int.from_bytes(buf[at:at + w], "little", signed=True)
+            if v:
+                out[(i, j)] = v
+            at += w
+    return out
+
+
+def _packed_mul(ta: dict[Key, int], tb: dict[Key, int]) -> dict[Key, int]:
+    """``ta * tb`` by one big-int product."""
+    rows = max(i for i, _ in ta) + max(i for i, _ in tb) + 1
+    stride = max(j for _, j in ta) + max(j for _, j in tb) + 1
+    w = _slot_width(ta, tb)
+    return _unpack(_pack(ta, stride, w) * _pack(tb, stride, w), stride, w, rows)
 
 
 class BiPoly:
@@ -282,6 +368,8 @@ class BiPoly:
             return o.scale(self.as_constant())
         if len(ta) < len(tb):
             ta, tb = tb, ta
+        if len(tb) >= PACKED_MUL_MIN_TERMS:
+            return BiPoly._raw(self._c * o._c, _packed_mul(ta, tb))
         out: dict[Key, int] = {}
         items_b = list(tb.items())
         for (xa, sa), va in ta.items():
@@ -495,7 +583,9 @@ class BiFrac:
 
     Construction strips shared rational content and shared monomials (cheap,
     size-controlling) and normalizes the sign of the denominator's leading
-    term, but never runs a polynomial gcd.
+    term, but never runs a polynomial gcd.  Equality compares the contents
+    of the cross products, then their packed primitive parts as big-int
+    products; ``__eq__`` states why that decides ``a*d == c*b`` exactly.
     """
 
     __slots__ = ("num", "den")
@@ -677,12 +767,41 @@ class BiFrac:
     # -- comparison / display ---------------------------------------------
 
     def __eq__(self, other):
+        """``a/b == c/d`` iff ``a*d == c*b``, decided without expanding
+        either product.
+
+        Write each polynomial as content x primitive part, ``a = ca*A``.
+        By Gauss's lemma ``A*D`` and ``C*B`` are primitive, and the
+        content x primitive form is unique, so ``a*d == c*b`` iff
+        ``ca*cd == cc*cb`` and ``A*D == C*B``.  The contents are compared
+        first, then the s-degrees (over Z the degree of a product is the
+        sum of its factors' degrees).  Then the four primitive parts are
+        packed in one layout (see ``_pack``), with a stride above the
+        s-degree of both products and a slot width w that holds every
+        coefficient of either product below 2^(8w-1).  Packing is
+        evaluation at s = 2^(8w), x = 2^(8w*stride), a ring homomorphism,
+        so the packed products are the packed ``A*D`` and ``C*B``; it is
+        injective on such polynomials, because an integer has one balanced
+        base-2^(8w) expansion.  So the two big-int products are equal iff
+        ``A*D == C*B``: a pass is still a proof.
+        """
         o = self._promote(other)
         if o is None:
             return NotImplemented
         if self.den == o.den:
             return self.num == o.num
-        return self.num * o.den == o.num * self.den
+        # a zero numerator has content 0; two zeros both have den 1
+        a, d, c, b = self.num, o.den, o.num, self.den
+        if a._c * d._c != c._c * b._c:
+            return False
+        A, D, C, B = a._t, d._t, c._t, b._t
+        deg_s = [max(j for _, j in t) for t in (A, D, C, B)]
+        if deg_s[0] + deg_s[1] != deg_s[2] + deg_s[3]:
+            return False
+        stride = deg_s[0] + deg_s[1] + 1
+        w = max(_slot_width(A, D), _slot_width(C, B))
+        left = _pack(A, stride, w) * _pack(D, stride, w)
+        return left == _pack(C, stride, w) * _pack(B, stride, w)
 
     def __hash__(self):
         # hash-compatible with cross-multiplication equality only for the
@@ -700,7 +819,12 @@ class BiFrac:
 
 
 def bifrac_eq(a: BiFrac, b: BiFrac) -> bool:
-    """Cross-multiplication equality: a.num*b.den == b.num*a.den."""
+    """Cross-multiplication equality: a.num*b.den == b.num*a.den.
+
+    Decided by ``BiFrac.__eq__`` without expanding either product: equal
+    contents and equal packed primitive parts, exact because every slot
+    is wide enough to hold a product coefficient with no carry.
+    ``cross_difference`` expands the difference for a witness."""
     return a == b
 
 

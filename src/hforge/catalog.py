@@ -617,8 +617,10 @@ def verify_all(
     """Sweep the whole catalog (or a tag subset, in the order given) up to
     n_max, in one pool when ``workers > 1``.
 
-    Entries over Q(s,x) are capped at ``bivariate_cap`` to bound the
-    cross-multiplication cost of the two-variable comparison.  Entries
+    Entries over Q(s,x) run only up to ``bivariate_cap``.  Its default
+    of 15 fixes the rows of the standard sweep; it is not a cost limit,
+    since the packed comparison (``BiFrac.__eq__``) keeps the cells above
+    it about as cheap to decide as to build.  Entries
     with an ``m`` parameter run over ``m_grid`` instead of their default
     grid when it is given.
     """

@@ -11,6 +11,7 @@ identity failure, 2 on usage or parse errors.
 from __future__ import annotations
 
 import os
+import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -217,7 +218,8 @@ def list_cmd(ids, fmt):
 @click.option("--oracle", type=_ORACLES, default="off", show_default=True,
               help="Also run the independent numeric paths and require agreement.")
 @click.option("--bivariate-cap", type=int, default=15, show_default=True,
-              help="Cap n for entries symbolic in both s and x.")
+              help="Cap n for entries symbolic in both s and x; the default "
+                   "fixes the rows of the standard sweep, not a cost limit.")
 @click.option("--format", "fmt", type=_FORMATS, default="text", show_default=True)
 @click.option("--output", type=click.Path(dir_okay=False), default=None)
 @click.option("--workers", type=int, default=_default_workers,
@@ -375,7 +377,12 @@ def eval_cmd(expr, n, s_text, x_text):
 @click.option("--output", type=click.Path(dir_okay=False), default=None)
 def bench_cmd(ids, n_min, n_max, workers_text, memo, fmt, output):
     """Time each cell of a catalog sweep (capped like ``verify --all``) per
-    worker count and memo setting; CSV header id,n,workers,memo,nanos."""
+    worker count and memo setting; CSV header id,n,workers,memo,nanos.
+
+    A cell's nanos are measured inside the cell.  After the cells of each
+    (workers, memo) pair comes one record with id ``sweep`` and n = n-max
+    whose nanos are the wall-clock time of the whole sweep, pool start-up
+    included, so the worker counts can be compared by it."""
     if workers_text is None:
         worker_counts = (_default_workers(),)
     else:
@@ -396,13 +403,16 @@ def bench_cmd(ids, n_min, n_max, workers_text, memo, fmt, output):
         for w in worker_counts:
             for mode in memo_modes:
                 set_memoization(mode == "on")
+                start = time.perf_counter_ns()
                 part = verify_all(n_max, n_min=n_min, tags=tags, workers=w)
+                wall = time.perf_counter_ns() - start
                 for row in part.rows:
                     label = row.id
                     extras = [f"{k}={row.params[k]}" for k in sorted(row.params)]
                     if extras:
                         label += "[" + ",".join(extras) + "]"
                     records.append((label, row.n, w, mode, row.elapsed_ns))
+                records.append(("sweep", n_max, w, mode, wall))
     finally:
         set_memoization(True)
     if fmt == "csv":

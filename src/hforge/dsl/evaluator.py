@@ -191,7 +191,7 @@ def _ev_call(node: Call, env: Env) -> Value:
         if node.func == "Hr":
             return harmonic_gen(args[0], args[1])
         if node.func == "C":
-            return int(binom_int(args[0], args[1]))
+            return binom_int(args[0], args[1])
         if node.func == "CS":
             return binom_factor(args[0], args[1])
         if node.func == "PSID":

@@ -206,6 +206,11 @@ def _rat(value) -> _Rat:
     return _Rat(value.numerator, value.denominator)
 
 
+def _difference(a: Fraction, b: Fraction) -> _Rat:
+    """``a - b`` as a ``_Rat``, with no intermediate ``Fraction``."""
+    return _plus(a.numerator, a.denominator, -b.numerator, b.denominator)
+
+
 class _PointCtx:
     """Direct-summation primitives at one exact rational point s.
 
@@ -287,17 +292,17 @@ class _IntegerSCtx:
         self.s = Fraction(s0)
 
     def psi(self, a: int, b: int) -> _Rat:
-        return _rat(harmonic(self.s0 + a - 1) - harmonic(self.s0 + b - 1))
+        return _difference(harmonic(self.s0 + a - 1), harmonic(self.s0 + b - 1))
 
     def psi1(self, a: int, b: int) -> _Rat:
-        return _rat(
-            harmonic_gen(self.s0 + b - 1, 2) - harmonic_gen(self.s0 + a - 1, 2)
+        return _difference(
+            harmonic_gen(self.s0 + b - 1, 2), harmonic_gen(self.s0 + a - 1, 2)
         )
 
     def binom(self, shift: int, k: int) -> int | _Rat:
         top = self.s0 + shift
         if top >= 0:
-            return binom_int(top, k).numerator
+            return binom_int(top, k)
         v = _Rat(1)
         for j in range(1, k + 1):
             v = v * (top - k + j) / j
@@ -481,7 +486,7 @@ class _Grid:
         if func == "Hr":
             return _rat(harmonic_gen(*args))
         if func == "C":
-            return binom_int(*args).numerator
+            return binom_int(*args)
         a, b = args
         if func == "CS":
             if b < 0:

@@ -112,15 +112,15 @@ def harmonic_gen(n: int, r: int) -> Fraction:
     return sum((Fraction(1, i ** r) for i in range(1, n + 1)), start=Fraction(0))
 
 
-def binom_int(n: int, k: int) -> Fraction:
+def binom_int(n: int, k: int) -> int:
     """Integer binomial C(n, k); 0 outside the range 0 <= k <= n."""
     if not isinstance(n, int) or n < 0:
         raise ValueError(f"binomial top must be a nonnegative integer, got {n!r}")
     if not isinstance(k, int):
         raise ValueError(f"binomial bottom must be an integer, got {k!r}")
     if k < 0 or k > n:
-        return Fraction(0)
-    return Fraction(math.comb(n, k))
+        return 0
+    return math.comb(n, k)
 
 
 def binom_shift(a: int, k: int) -> RatFunc:

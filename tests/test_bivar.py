@@ -4,11 +4,13 @@ import math
 import pickle
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hforge import bivar
 from hforge.bivar import (
     BiFrac,
     BiPoly,
@@ -416,3 +418,129 @@ class TestKeyedDenominator:
         assert str(g).endswith("/ [(s + 2)^3 * (x + 1)^2 * (s + 1) * (s)]")
         h = FactoredFrac(BiPoly.x(), [(s1, 1)]) * f
         assert [str(k) for k in h.den] == ["s + 1", "s + 2", "x + 1"]
+
+
+# -- the packed (Kronecker) product and comparison against the references ---
+
+big_ints = st.integers(-(2**80), 2**80).filter(bool)
+dense_keys = st.tuples(st.integers(0, 5), st.integers(0, 5))
+dense_parts = st.dictionaries(dense_keys, big_ints, max_size=30)
+# coefficients of one sign just below a power of two: the product
+# coefficients then come as close to the slot bound as they can
+edge_parts = st.builds(
+    lambda d, sign: {k: sign * v for k, v in d.items()},
+    st.dictionaries(
+        dense_keys, st.sampled_from([127, 255, 2**63 - 1, 2**127 - 1]),
+        min_size=9, max_size=30,
+    ),
+    st.sampled_from([-1, 1]),
+)
+unit_parts = st.dictionaries(
+    st.tuples(st.integers(0, 6), st.integers(0, 6)), st.sampled_from([-1, 1]),
+    min_size=9, max_size=40,
+)
+sparse_parts = st.dictionaries(
+    st.tuples(st.integers(0, 60), st.integers(0, 60)), big_ints,
+    min_size=9, max_size=14,
+)
+constant_parts = st.one_of(st.just({}), big_ints.map(lambda c: {(0, 0): c}))
+packed_polys = st.builds(
+    BiPoly.from_ints,
+    st.one_of(dense_parts, edge_parts, unit_parts, sparse_parts, constant_parts),
+    st.fractions(min_value=-7, max_value=7, max_denominator=5).filter(bool),
+)
+
+
+def schoolbook(p: BiPoly, q: BiPoly) -> BiPoly:
+    with mock.patch.object(bivar, "PACKED_MUL_MIN_TERMS", 10**9):
+        return p * q
+
+
+# 2*181*180 needs all 16 bits of a 2-byte slot plus its sign bit
+@example(BiPoly.from_ints({(0, 0): 181, (1, 0): 180}),
+         BiPoly.from_ints({(0, 0): 181, (1, 0): 180}))
+@given(packed_polys, packed_polys)
+@settings(max_examples=150, deadline=None)
+def test_packed_product_agrees_with_the_references(p, q):
+    want = ref_mul(dict(p.terms), dict(q.terms))
+    got = p * q
+    assert_matches(got, want)
+    assert schoolbook(p, q) == got
+    with mock.patch.object(bivar, "PACKED_MUL_MIN_TERMS", 2):
+        assert_matches(p * q, want)
+
+
+def test_the_product_route_follows_the_operand_sizes():
+    calls = []
+    real = bivar._packed_mul
+
+    def recording(ta, tb):
+        calls.append((len(ta), len(tb)))
+        return real(ta, tb)
+
+    dense = BiPoly.from_ints({(i, j): i - j or 7 for i in range(20) for j in range(20)})
+    nine = BiPoly.from_ints({(i, j): i + j + 1 for i in range(3) for j in range(3)})
+    eight = BiPoly.from_ints({(i, 0): i + 1 for i in range(8)})
+    pairs = [(dense, BiPoly.x() + 1), (dense, eight), (dense, nine), (nine, dense)]
+    with mock.patch.object(bivar, "_packed_mul", recording):
+        products = [a * b for a, b in pairs]
+    # the smaller operand decides: a linear factor and eight terms stay
+    # in the schoolbook loop, whatever the size of the other operand
+    assert calls == [(400, 9), (400, 9)]
+    for prod, (a, b) in zip(products, pairs):
+        assert prod == schoolbook(a, b)
+
+
+def off_by_one(p: BiPoly) -> BiPoly:
+    """``p`` with its leading coefficient moved by one, away from zero."""
+    terms = dict(p.terms)
+    k = max(terms, default=(0, 0))
+    c = terms.get(k, 0)
+    terms[k] = c - 1 if c == -1 else c + 1
+    return BiPoly(terms)
+
+
+@given(packed_polys, packed_polys, bipolys, st.sampled_from(["x", "s"]))
+@settings(max_examples=60, deadline=None)
+def test_packed_comparison_agrees_with_the_cross_difference(p, q, r, var):
+    if q.is_zero() or r.is_zero():
+        return
+    a = BiFrac(p * r, q * r)
+    b = BiFrac(p, q)
+    other = BiPoly.x() + 1 if var == "x" else BiPoly.s() + 1
+    pairs = [
+        (a, b, True),
+        (BiFrac(p.scale(3), q.scale(3)), b, True),
+        (BiFrac(off_by_one(p), q), b, False),
+        (BiFrac(p * r, off_by_one(q) * r), b, p.is_zero()),
+        (BiFrac(p * other, q), b, p.is_zero()),
+        (BiFrac(p, q * other), b, p.is_zero()),
+    ]
+    if not p.is_zero():
+        pairs.append((BiFrac(p.scale(2), q), b, False))  # only the content differs
+    for left, right, equal in pairs:
+        assert (left == right) is (right == left) is equal
+        assert cross_difference(left, right).is_zero() is equal
+
+
+def test_the_slot_width_covers_both_cross_products():
+    # 1 * (1+x) and (x^2 - 256x + 257) * 1 agree at x = 256, which is where
+    # one-byte slots, wide enough for the left product alone, would put x
+    left = BiFrac(BiPoly.one())
+    right = BiFrac(BiPoly.from_ints({(2, 0): 1, (1, 0): -256, (0, 0): 257}),
+                   BiPoly.x() + 1)
+    assert left != right and right != left
+    assert not cross_difference(left, right).is_zero()
+
+
+def test_packed_comparison_of_zeros_and_large_contents():
+    x1, s1 = BiPoly.x() + 1, BiPoly.s() + 1
+    assert BiFrac(BiPoly.zero(), x1) == BiFrac(BiPoly.zero(), s1)
+    assert BiFrac(BiPoly.zero(), x1) != BiFrac(x1, s1)
+    huge = Fraction(2**70 + 1, 3**50)
+    p = BiPoly.from_ints({(i, j): (-1) ** i * (2**65 + j) for i in range(4) for j in range(4)})
+    a = BiFrac(p.scale(huge), x1 * s1)
+    b = BiFrac((p * x1).scale(huge), x1 * x1 * s1)
+    assert a == b and cross_difference(a, b).is_zero()
+    c = BiFrac(p.scale(huge + Fraction(1, 3**50)), x1 * s1)
+    assert a != c and not cross_difference(a, c).is_zero()

@@ -267,6 +267,14 @@ class TestVerify:
         rest = [r for r in report.rows if r.id not in two_var]
         assert max(r.n for r in rest) == 3
 
+    def test_a_two_variable_entry_is_proved_above_the_default_cap(self):
+        entry = lookup("THM-2.4")
+        report = verify(entry, [20])
+        assert [(r.n, r.passed) for r in report.rows] == [(20, True)]
+        flipped, count = re.subn(r"\+ s\*\(", "- s*(", entry.rhs.source)
+        assert count == 1
+        assert not bifrac_eq(entry.lhs(20), Side(flipped)(20))
+
     def test_verify_all_takes_tags_in_order_and_an_m_grid(self):
         report = verify_all(2, tags=["ID-13", "ID-5"], m_grid=[2, 5])
         assert [(r.id, r.n, r.params.get("m")) for r in report.rows] == [

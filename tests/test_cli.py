@@ -258,7 +258,8 @@ class TestBenchCommand:
         )
         lines = r.output.strip().splitlines()
         assert lines[0] == "id,n,workers,memo,nanos"
-        assert len(lines) == 5
+        # two cells and one sweep record per worker count
+        assert len(lines) == 7
         assert {l.split(",")[2] for l in lines[1:]} == {"1", "2"}
 
     def test_memo_comparison_doubles_rows(self, runner):
@@ -267,7 +268,7 @@ class TestBenchCommand:
             "--memo", "both", "--format", "csv",
         )
         lines = r.output.strip().splitlines()[1:]
-        assert len(lines) == 4
+        assert len(lines) == 6
         assert {l.split(",")[3] for l in lines} == {"on", "off"}
 
     def test_parameter_labels(self, runner):
@@ -276,7 +277,7 @@ class TestBenchCommand:
         )
         body = r.output.strip().splitlines()[1:]
         assert {l.split(",")[0] for l in body} == {
-            "ID-13[m=2]", "ID-13[m=3]", "ID-13[m=4]", "ID-13[m=5]"
+            "ID-13[m=2]", "ID-13[m=3]", "ID-13[m=4]", "ID-13[m=5]", "sweep"
         }
 
     def test_bivariate_cap_applies(self, runner):
@@ -285,7 +286,9 @@ class TestBenchCommand:
             "--format", "csv",
         )
         assert r.exit_code == 0
-        assert r.output.splitlines() == ["id,n,workers,memo,nanos"]
+        header, sweep = r.output.splitlines()
+        assert header == "id,n,workers,memo,nanos"
+        assert sweep.startswith("sweep,16,")
 
     def test_each_sweep_starts_with_cold_tables(self, runner, monkeypatch):
         from hforge import cli
@@ -309,6 +312,44 @@ class TestBenchCommand:
         (before1, after1), (before2, after2) = seen
         assert before1.misses == before2.misses == 0
         assert after1.misses == after2.misses > 0
+
+    def test_each_sweep_ends_with_its_wall_clock_time(self, runner):
+        r = invoke(
+            runner, "bench", "--id", "ID-5", "--id", "THM-2.6", "--n-max", "3",
+            "--workers", "1,2", "--memo", "both", "--format", "csv",
+        )
+        assert r.exit_code == 0
+        rows = [l.split(",") for l in r.output.strip().splitlines()[1:]]
+        sweeps = [i for i, row in enumerate(rows) if row[0] == "sweep"]
+        # one record per (workers, memo) pair, after that pair's six cells
+        assert sweeps == [6, 13, 20, 27]
+        start = 0
+        for end in sweeps:
+            cells, sweep = rows[start:end], rows[end]
+            assert sweep[1] == "3"
+            assert {tuple(c[2:4]) for c in cells} == {tuple(sweep[2:4])}
+            wall = int(sweep[4])
+            assert wall >= max(int(c[4]) for c in cells)
+            if sweep[2] == "1":
+                assert wall >= sum(int(c[4]) for c in cells)
+            start = end + 1
+
+    def test_the_sweep_record_times_the_whole_call(self, runner, monkeypatch):
+        import time as _time
+
+        from hforge import cli
+
+        real = cli.verify_all
+
+        def slow(*args, **kwargs):
+            _time.sleep(0.05)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "verify_all", slow)
+        r = invoke(runner, "bench", "--id", "ID-5", "--n-max", "1", "--format", "csv")
+        assert r.exit_code == 0
+        sweep = r.output.strip().splitlines()[-1].split(",")
+        assert sweep[0] == "sweep" and int(sweep[4]) >= 50_000_000
 
     def test_text_format_has_a_header(self, runner):
         r = invoke(runner, "bench", "--id", "ID-5", "--n-max", "1")
