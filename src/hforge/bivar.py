@@ -804,10 +804,23 @@ class BiFrac:
         return left == _pack(C, stride, w) * _pack(B, stride, w)
 
     def __hash__(self):
-        # hash-compatible with cross-multiplication equality only for the
-        # stripped canonical-ish form; adequate because hashing is only used
-        # incidentally (never as a semantic equality shortcut)
-        return hash((self.num, self.den))
+        """Hash of invariants of the value, so that equal fractions in
+        different unreduced forms hash alike.
+
+        Multiplying numerator and denominator by one polynomial g adds
+        deg_x(g) and deg_s(g) to both degrees, and multiplies both
+        lex-leading terms (x before s) by that of g.  So the degree
+        differences, the leading monomials' quotient and the ratio of the
+        leading coefficients depend only on the value.  A constant hashes
+        like the equal ``Fraction``.
+        """
+        num, den = self.num, self.den
+        if not num._t:
+            return hash(0)
+        kn, kd = max(num._t), max(den._t)
+        ratio = num._c * num._t[kn] / (den._c * den._t[kd])
+        shape = (kn[0] - kd[0], kn[1] - kd[1], num.deg_s - den.deg_s)
+        return hash(ratio) if shape == (0, 0, 0) else hash((shape, ratio))
 
     def __str__(self):
         if self.den.is_constant() and self.den.as_constant() == 1:

@@ -565,8 +565,14 @@ def _run_cell(
     )
 
 
-def _cell_args(args: tuple) -> ReportRow:
-    return _run_cell(*args)
+def _run_batch(cells: Sequence[tuple], oracle: str) -> list[ReportRow]:
+    """Rows of consecutive cells, each cross-checked by ``oracle`` unless
+    it is ``"off"``; the one task a pool worker runs."""
+    if oracle == "off":
+        return [_run_cell(*cell) for cell in cells]
+    from .oracle import fold_oracle  # oracle imports this module
+
+    return [fold_oracle(_run_cell(*cell), oracle) for cell in cells]
 
 
 def plan_cells(
@@ -601,7 +607,7 @@ def verify(
 ) -> Report:
     """Check one entry over a grid; failures become report rows, not errors."""
     cells = plan_cells(entry, n_range, params_range, variant)
-    return _execute(cells, workers)
+    return _execute(cells, workers, "off")
 
 
 def verify_all(
@@ -613,6 +619,7 @@ def verify_all(
     variant: str | None = None,
     workers: int = 1,
     m_grid: Sequence[int] | None = None,
+    oracle: str = "off",
 ) -> Report:
     """Sweep the whole catalog (or a tag subset, in the order given) up to
     n_max, in one pool when ``workers > 1``.
@@ -622,10 +629,17 @@ def verify_all(
     since the packed comparison (``BiFrac.__eq__``) keeps the cells above
     it about as cheap to decide as to build.  Entries
     with an ``m`` parameter run over ``m_grid`` instead of their default
-    grid when it is given.
+    grid when it is given.  Unless ``oracle`` is ``"off"``, each row is
+    cross-checked by the numeric oracles it names (see
+    :func:`hforge.oracle.fold_oracle`) in the process that proved it.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
+    if oracle != "off":
+        from .oracle import ORACLE_MODES  # oracle imports this module
+
+        if oracle not in ORACLE_MODES:
+            raise ValueError(f"unknown oracle mode {oracle!r}")
     selected = [lookup(t) for t in tags] if tags is not None else list(_ENTRIES)
     cells: list[tuple] = []
     for entry in selected:
@@ -637,22 +651,27 @@ def verify_all(
         if m_grid is not None and any(sp.name == "m" for sp in entry.extra_params):
             params_range = [{"m": v} for v in m_grid]
         cells.extend(plan_cells(entry, range(lo, top + 1), params_range, variant))
-    return _execute(cells, workers)
+    return _execute(cells, workers, oracle)
 
 
-def _execute(cells: list[tuple], workers: int) -> Report:
-    report = Report()
-    if workers > 1 and len(cells) > 1:
-        # Workers get the memo setting explicitly: under ``spawn`` they do
-        # not inherit this process's module globals.
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=set_memoization,
-            initargs=(memoization_enabled(),),
-        ) as pool:
-            for row in pool.map(_cell_args, cells, chunksize=1):
-                report.add(row)
-    else:
-        for cell in cells:
-            report.add(_cell_args(cell))
-    return report
+def _execute(cells: list[tuple], workers: int, oracle: str) -> Report:
+    """Run the cells in plan order, in ``workers`` processes if above 1.
+
+    A pool gets contiguous batches, about four per worker, so that a
+    sweep pays a few executor round trips rather than one per cell while
+    a worker that drew cheap cells can still take another batch.  The
+    pool never starts more processes than there are batches.
+    """
+    if workers < 2 or len(cells) < 2:
+        return Report(_run_batch(cells, oracle))
+    size = -(-len(cells) // (4 * workers))
+    batches = [cells[i : i + size] for i in range(0, len(cells), size)]
+    # Workers get the memo setting explicitly: under ``spawn`` they do
+    # not inherit this process's module globals.
+    with ProcessPoolExecutor(
+        max_workers=min(workers, len(batches)),
+        initializer=set_memoization,
+        initargs=(memoization_enabled(),),
+    ) as pool:
+        futures = [pool.submit(_run_batch, batch, oracle) for batch in batches]
+        return Report([row for f in futures for row in f.result()])

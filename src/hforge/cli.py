@@ -21,21 +21,31 @@ import click
 
 from . import __version__, dsl
 # ``verify`` stays importable here for perfbench/spans.py, which looks it up.
-from .catalog import IdentityEntry, catalog, lookup, verify, verify_all  # noqa: F401
+from .catalog import IdentityEntry, catalog, verify, verify_all  # noqa: F401
 from .exact import PoleError
-from .oracle import INTEGER_S_POINTS, integer_s_check, sampling_verify
-from .report import Report, ReportRow
+from .oracle import ORACLE_MODES
+from .report import Report
 from .special import set_memoization
 
 _FORMATS = click.Choice(["text", "json", "csv"])
-_ORACLES = click.Choice(["off", "sampling", "integer-s", "both"])
+_ORACLES = click.Choice(ORACLE_MODES)
 
 
 def _default_workers() -> int:
-    try:
-        return max(1, int(os.environ.get("HFORGE_WORKERS", "1")))
-    except ValueError:
+    """Worker count from ``HFORGE_WORKERS``: 1 when unset or empty, else a
+    positive integer."""
+    text = os.environ.get("HFORGE_WORKERS", "").strip()
+    if not text:
         return 1
+    try:
+        workers = int(text)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise click.UsageError(
+            f"HFORGE_WORKERS must be a positive integer, not {text!r}"
+        )
+    return workers
 
 
 @dataclass
@@ -107,45 +117,6 @@ def _param_text(entry: IdentityEntry) -> str:
             grid = ",".join(map(str, spec.default_grid))
             parts.append(f"{spec.name}>={spec.minimum} (default {grid})")
     return "; ".join(parts) if parts else "-"
-
-
-def _annotate_disagreement(row: ReportRow, mode: str) -> ReportRow:
-    params = dict(row.params)
-    params["oracle_disagreement"] = mode
-    return ReportRow(
-        id=row.id,
-        n=row.n,
-        params=params,
-        passed=False,
-        expected_fail=False,
-        witness=row.witness,
-        elapsed_ns=row.elapsed_ns,
-    )
-
-
-def _fold_oracle(report: Report, mode: str) -> Report:
-    """Cross-check each symbolic verdict against the independent paths;
-    a disagreement turns the row into a hard failure."""
-    out = Report()
-    for row in report.rows:
-        entry = lookup(row.id)
-        params = {k: v for k, v in row.params.items() if k != "variant"}
-        variant = row.params.get("variant")
-        folded = row
-        if mode in ("sampling", "both"):
-            cert = sampling_verify(entry, row.n, params, variant=variant)
-            if cert.all_equal != row.passed:
-                folded = _annotate_disagreement(row, "sampling")
-        if folded is row and mode in ("integer-s", "both") and "s" in entry.domain:
-            agree = all(
-                integer_s_check(entry, row.n, s0, params, variant=variant)
-                == row.passed
-                for s0 in INTEGER_S_POINTS
-            )
-            if not agree:
-                folded = _annotate_disagreement(row, "integer-s")
-        out.add(folded)
-    return out
 
 
 def _emit_report(report: Report, config: RunConfig) -> None:
@@ -256,11 +227,10 @@ def verify_cmd(run_all, ids, n_min, n_max, m_text, variant, oracle,
             variant=variant,
             workers=workers,
             m_grid=m_grid,
+            oracle=oracle,
         )
     except ValueError as exc:
         raise click.UsageError(str(exc))
-    if oracle != "off":
-        report = _fold_oracle(report, oracle)
     _emit_report(report, config)
     raise SystemExit(0 if report.all_ok() else 1)
 

@@ -43,7 +43,7 @@ import functools
 import math
 import operator
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import repeat
 from typing import Mapping
@@ -77,6 +77,9 @@ Params = Mapping[str, int]
 
 # The values of s at which ``verify --oracle integer-s`` checks a cell.
 INTEGER_S_POINTS = (0, 1, 2, 5)
+
+# What ``verify_all(oracle=...)`` and ``verify --oracle`` accept.
+ORACLE_MODES = ("off", "sampling", "integer-s", "both")
 
 
 class _Rat:
@@ -656,6 +659,28 @@ def integer_s_check(
     lhs_v = _walk(entry.lhs, n, params, ctxs, xs)
     rhs_v = _walk(rhs, n, params, ctxs, xs)
     return all(_at(lhs_v, 0, j) == _at(rhs_v, 0, j) for j in range(len(xs)))
+
+
+def _annotate_disagreement(row: ReportRow, mode: str) -> ReportRow:
+    params = {**row.params, "oracle_disagreement": mode}
+    return replace(row, params=params, passed=False, expected_fail=False)
+
+
+def fold_oracle(row: ReportRow, mode: str) -> ReportRow:
+    """Cross-check a symbolic verdict against the independent paths that
+    ``mode`` names; a disagreement turns the row into a hard failure."""
+    entry = lookup(row.id)
+    params = {k: v for k, v in row.params.items() if k != "variant"}
+    variant = row.params.get("variant")
+    if mode in ("sampling", "both"):
+        cert = sampling_verify(entry, row.n, params, variant=variant)
+        if cert.all_equal != row.passed:
+            return _annotate_disagreement(row, "sampling")
+    if mode in ("integer-s", "both") and "s" in entry.domain:
+        for s0 in INTEGER_S_POINTS:
+            if integer_s_check(entry, row.n, s0, params, variant=variant) != row.passed:
+                return _annotate_disagreement(row, "integer-s")
+    return row
 
 
 # The two anchored single-m displays; the m=3 display disagrees with the

@@ -126,6 +126,19 @@ class TestBiFrac:
         assert bifrac_eq(a, b)
         assert cross_difference(a, b).is_zero()
 
+    def test_equal_fractions_hash_alike(self):
+        a = BiFrac(BiPoly.x() - 1, BiPoly.x(2) - 1)
+        b = BiFrac(BiPoly.one(), BiPoly.x() + 1)
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+        # a common factor in s and a sign moved into both parts
+        g = BiPoly.s() * BiPoly.x() - 3
+        c = BiFrac(-(BiPoly.x() - 1) * g, -(BiPoly.x(2) - 1) * g)
+        assert c == a and hash(c) == hash(a)
+        # constants hash like the numbers they equal
+        assert hash(BiFrac(BiPoly.const(6), BiPoly.const(4))) == hash(Fraction(3, 2))
+        assert hash(BiFrac(BiPoly.zero(), BiPoly.s())) == hash(0)
+
     def test_zero_denominator_rejected(self):
         with pytest.raises(ZeroDenominatorError):
             BiFrac(BiPoly.one(), BiPoly.zero())
@@ -521,6 +534,8 @@ def test_packed_comparison_agrees_with_the_cross_difference(p, q, r, var):
     for left, right, equal in pairs:
         assert (left == right) is (right == left) is equal
         assert cross_difference(left, right).is_zero() is equal
+        if equal:
+            assert hash(left) == hash(right)
 
 
 def test_the_slot_width_covers_both_cross_products():

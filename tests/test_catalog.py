@@ -39,6 +39,22 @@ def entry_map():
     return {e.tag: e for e in catalog_entries()}
 
 
+def timeless(report):
+    return [dataclasses.replace(r, elapsed_ns=0) for r in report.rows]
+
+
+def pool_with_start_method(monkeypatch, method):
+    """Make the catalog's pools start their workers by ``method``."""
+    from hforge import catalog
+
+    class Pool(ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            ctx = multiprocessing.get_context(method)
+            super().__init__(*args, mp_context=ctx, **kwargs)
+
+    monkeypatch.setattr(catalog, "ProcessPoolExecutor", Pool)
+
+
 class TestCatalogShape:
     def test_thirty_four_entries_with_unique_tags(self):
         entries = catalog_entries()
@@ -224,11 +240,62 @@ class TestVerify:
         assert {r.params["m"] for r in report.rows} == {2, 5}
         assert report.all_ok()
 
-    def test_parallel_execution_matches_serial(self):
-        serial = verify(lookup("ID-12"), range(1, 5), workers=1)
-        parallel = verify(lookup("ID-12"), range(1, 5), workers=2)
-        strip = lambda rep: [(r.id, r.n, r.passed) for r in rep.rows]
-        assert strip(serial) == strip(parallel)
+    @pytest.mark.parametrize("method", ["fork", "spawn"])
+    def test_parallel_rows_match_serial_rows(self, monkeypatch, method):
+        pool_with_start_method(monkeypatch, method)
+        serial = verify_all(4, oracle="both", workers=1)
+        parallel = verify_all(4, oracle="both", workers=2)
+        assert serial.total == 156 and serial.all_ok()
+        assert timeless(parallel) == timeless(serial)
+
+    def test_parallel_rows_match_serial_rows_with_a_wrong_side(self, monkeypatch):
+        from hforge import catalog
+
+        class OffByOne(Side):
+            """Evaluates to one more than the statement its tree holds."""
+
+            __slots__ = ()
+
+            def __call__(self, n, params=None):
+                return super().__call__(n, params) + 1
+
+        entry = lookup("ID-12")
+        wrong = dataclasses.replace(entry, rhs=OffByOne(entry.rhs.source))
+        monkeypatch.setitem(catalog._BY_TAG, "ID-12", wrong)
+        pool_with_start_method(monkeypatch, "fork")
+        tags = ["ID-11", "ID-12", "THM-2.2"]
+        serial = verify_all(4, tags=tags, oracle="both", workers=1)
+        parallel = verify_all(4, tags=tags, oracle="both", workers=2)
+        assert timeless(parallel) == timeless(serial)
+        # the symbolic route sees the wrong side, the oracle the statement
+        bad = [r for r in parallel.rows if not r.passed]
+        assert [r.id for r in bad] == ["ID-12"] * 4
+        assert all(r.params == {"oracle_disagreement": "sampling"} for r in bad)
+        assert all(r.witness is not None and not r.expected_fail for r in bad)
+
+    def test_a_sweep_sends_the_pool_a_few_batches(self, monkeypatch):
+        from hforge import catalog
+
+        submitted, sizes = [], []
+
+        class CountingPool(ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                sizes.append(kwargs["max_workers"])
+
+            def submit(self, fn, /, *args, **kwargs):
+                submitted.append(len(args[0]))
+                return super().submit(fn, *args, **kwargs)
+
+        monkeypatch.setattr(catalog, "ProcessPoolExecutor", CountingPool)
+        report = verify_all(10, workers=2)
+        assert report.total == 390 and report.all_ok()
+        assert sizes == [2]
+        assert len(submitted) <= 4 * 2 + 1 and sum(submitted) == 390
+        # two cells never start more than two processes
+        submitted.clear()
+        assert verify_all(2, tags=["ID-1"], workers=3).total == 2
+        assert sizes == [2, 2] and submitted == [1, 1]
 
     def test_memo_setting_reaches_spawned_workers(self, monkeypatch):
         from hforge import catalog
@@ -249,9 +316,7 @@ class TestVerify:
         finally:
             set_memoization(True)
         assert seen == [False]
-        assert [dataclasses.replace(r, elapsed_ns=0) for r in spawned.rows] == [
-            dataclasses.replace(r, elapsed_ns=0) for r in serial.rows
-        ]
+        assert timeless(spawned) == timeless(serial)
 
     def test_catalog_sweep_small(self):
         report = verify_all(2)

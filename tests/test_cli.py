@@ -128,6 +128,27 @@ class TestVerify:
         )
         assert json.loads(r.output)["config"]["workers"] == 2
 
+    @pytest.mark.parametrize("value", ["abc", "0", "-3"])
+    def test_a_bad_workers_environment_is_a_usage_error(self, runner, value):
+        for args in (("verify", "--id", "ID-5", "--n-max", "2"),
+                     ("bench", "--id", "ID-5", "--n-max", "2")):
+            r = invoke(runner, *args, env={"HFORGE_WORKERS": value})
+            assert r.exit_code == 2
+            assert "HFORGE_WORKERS" in r.output and repr(value) in r.output
+        # an explicit --workers does not read the variable
+        r = invoke(runner, "verify", "--id", "ID-5", "--n-max", "2",
+                   "--workers", "1", env={"HFORGE_WORKERS": value})
+        assert r.exit_code == 0
+
+    def test_an_empty_workers_environment_means_one(self, runner):
+        r = invoke(
+            runner, "verify", "--id", "ID-5", "--n-max", "2",
+            "--format", "json", "--no-timing",
+            env={"HFORGE_WORKERS": ""},
+        )
+        assert r.exit_code == 0
+        assert json.loads(r.output)["config"]["workers"] == 1
+
     def test_unknown_id(self, runner):
         r = invoke(runner, "verify", "--id", "NOPE")
         assert r.exit_code == 2
