@@ -14,14 +14,15 @@ The package is layered bottom-up:
     symbolic), and digamma differences realized as finite sums, with
     factored-fraction builders for the symbolic ones.
 ``dsl``
-    A small expression language for stating identities, with a
-    span-carrying parser, static checks, and an exact evaluator.
+    A small expression language for stating identities: a span-carrying
+    parser, static checks, one compiled form per checked tree that takes
+    its arithmetic as an argument, and the exact arithmetic for it.
 ``catalog``
     The identity catalog, each side stated in the expression language
     (parsed on first evaluation, so importing the package does not import
     ``dsl``), plus the verification engine.
 ``oracle``
-    Numeric verification of the catalog's statements by an evaluator of
+    Numeric verification of the catalog's statements on arithmetic of
     its own: deterministic grid sampling with degree-bound certificates
     and integer-point evaluation.
 ``cli``

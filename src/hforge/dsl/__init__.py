@@ -2,11 +2,11 @@
 
 Pipeline: :func:`parse` (or :func:`parse_expr`) produces a span-carrying
 tree or diagnostics, :func:`check` validates free variables, arities,
-and integer contexts while annotating value domains, :func:`eval`
-produces an exact bivariate fraction, and :func:`check_identity` sweeps
-an identity over a range of n into a report.  Corpus files (one named
-identity per line) load via :func:`load_corpus`; :func:`pretty_print`
-renders trees back to source.
+and integer contexts while annotating value domains, :func:`eval` runs
+its compiled form into an exact bivariate fraction, and
+:func:`check_identity` sweeps an identity over a range of n into a
+report.  Corpus files (one named identity per line) load via
+:func:`load_corpus`; :func:`pretty_print` renders trees back to source.
 """
 
 from .checker import BUILTIN_ARITY, check

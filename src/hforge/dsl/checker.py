@@ -5,7 +5,8 @@ Domains form a chain ``integer < rational < ratfunc < bifrac`` (a value
 in an earlier domain embeds in every later one); binary operators join
 their operand domains.  The free variables are ``n`` and sum binders,
 which are integers, ``s``, a rational-function indeterminate, ``x``, a
-bivariate one, and any integer parameters the caller declares.
+bivariate one, and any integer parameters the caller declares; a sum
+binder may not reuse the name of ``n``, ``s``, ``x`` or a parameter.
 Arguments of the builtins, sum bounds, and exponents must be
 integer-valued expressions.
 """
@@ -58,8 +59,9 @@ def _join(a: str, b: str) -> str:
 
 
 class _Checker:
-    def __init__(self):
+    def __init__(self, free: Iterable[str]):
         self.diags: List[Diagnostic] = []
+        self.free = frozenset(free)
 
     def error(self, message: str, span, hint: str | None = None) -> None:
         self.diags.append(Diagnostic("error", message, span, hint))
@@ -107,6 +109,9 @@ class _Checker:
                 return _join(base, RATIONAL)
             return base
         if isinstance(node, Sum):
+            if node.binder in self.free:
+                message = f"sum binder {node.binder!r} shadows a free variable"
+                self.error(message, node.binder_span)
             for bound in (node.lo, node.hi):
                 if self.visit(bound, scope) != INTEGER:
                     self.error("sum bounds must be integer-valued", bound.span)
@@ -156,7 +161,7 @@ def check(ast: Ast, params: Iterable[str] = ()) -> Union[Ast, List[Diagnostic]]:
         if name in scope:
             raise ValueError(f"parameter {name!r} shadows a free variable")
         scope[name] = INTEGER
-    checker = _Checker()
+    checker = _Checker(scope)
     checker.visit(ast, scope)
     if checker.diags:
         return checker.diags

@@ -1,19 +1,18 @@
-"""Evaluator from checked expression trees into exact bivariate values.
+"""The exact arithmetic of the symbolic route, and ``eval``.
 
-Integer- and rational-domain subtrees evaluate in plain int/Fraction
-arithmetic; anything touching ``s`` or ``x`` evaluates through the
-factored-denominator accumulator so sums over ``1/(s+j)``- and
+``eval`` runs a tree's compiled form (``dsl.compiled``) on ``_Exact``:
+integers and rationals stay int/Fraction, and a value with s or x is a
+factored-denominator accumulator, so sums over ``1/(s+j)``- and
 ``1/(1+x)``-shaped terms keep structured denominators instead of
-cross-multiplying.  Runtime failures (division by an identically-zero
-denominator, out-of-range builtin arguments) carry the source span of
-the offending node.
+cross-multiplying.  Errors carry the span of the node at fault.
 """
 
 from __future__ import annotations
 
+import operator
 import time
 from fractions import Fraction
-from typing import Dict, Iterable, Mapping, Optional, Union
+from typing import Iterable, Mapping, Optional
 
 from ..bivar import BiFrac, FactoredFrac
 from ..exact import ZeroDenominatorError
@@ -26,181 +25,64 @@ from ..special import (
     psi1_factor,
     psi_factor,
 )
-from .nodes import (
-    Add,
-    Call,
-    Div,
-    Expr,
-    Identity,
-    IntLit,
-    Mul,
-    Neg,
-    Pow,
-    RatLit,
-    Span,
-    Sub,
-    Sum,
-    Var,
-)
-
-Value = Union[int, Fraction, FactoredFrac]
-Env = Dict[str, int]
+from .compiled import EvalError, compiled
+from .nodes import Expr, Identity
 
 
-class EvalError(Exception):
-    """Runtime evaluation failure, located by source span."""
+class _Exact:
+    """Exact arithmetic on int, Fraction and FactoredFrac: the ``alg``
+    that ``eval`` runs a compiled form on (see ``dsl.compiled``)."""
 
-    def __init__(self, message: str, span: Span):
-        super().__init__(message)
-        self.message = message
-        self.span = span
+    s, x = FactoredFrac.var_s(), FactoredFrac.var_x()
+    neg, add, sub, mul = operator.neg, operator.add, operator.sub, operator.mul
 
+    def rat(self, value: Fraction) -> Fraction:
+        return value
 
-def _scalar(v: Value) -> bool:
-    return isinstance(v, (int, Fraction))
-
-
-def _ev(node: Expr, env: Env) -> Value:
-    if isinstance(node, IntLit):
-        return node.value
-    if isinstance(node, RatLit):
-        return node.value
-    if isinstance(node, Var):
-        bound = env.get(node.name)
-        if bound is not None:
-            return bound
-        if node.name == "s":
-            return FactoredFrac.var_s()
-        if node.name == "x":
-            return FactoredFrac.var_x()
-        raise EvalError(f"unbound variable {node.name!r}", node.span)
-    if isinstance(node, Neg):
-        return -_ev(node.child, env)
-    if isinstance(node, Add):
-        return _ev(node.left, env) + _ev(node.right, env)
-    if isinstance(node, Sub):
-        return _ev(node.left, env) - _ev(node.right, env)
-    if isinstance(node, Mul):
-        return _ev(node.left, env) * _ev(node.right, env)
-    if isinstance(node, Div):
-        numer = _ev(node.left, env)
-        inverse = _ev_inverse(node.right, env)
-        if _scalar(numer) and _scalar(inverse):
-            return Fraction(numer) * Fraction(inverse)
-        return numer * inverse
-    if isinstance(node, Pow):
-        e = _ev(node.exponent, env)
-        if not isinstance(e, int):
-            raise EvalError(
-                "exponent did not evaluate to an integer", node.exponent.span
-            )
-        base = _ev(node.base, env)
-        if _scalar(base):
-            if e >= 0:
-                return base ** e
-            if base == 0:
-                raise EvalError(
-                    "zero cannot be raised to a negative power", node.span
-                )
-            return Fraction(base) ** e
+    def call(self, func: str, args: list, span):
         try:
+            if func == "H":
+                return harmonic(*args)
+            if func == "Hr":
+                return harmonic_gen(*args)
+            if func == "C":
+                return binom_int(*args)
+            if func == "CS":
+                return binom_factor(*args)
+            if func == "PSID":
+                return psi_factor(*args)
+            if func == "PSI1D":
+                return psi1_factor(*args)
+        except ValueError as exc:
+            raise EvalError(str(exc), span) from None
+        raise EvalError(f"unknown builtin {func!r}", span)
+
+    def div(self, a, b, span):
+        if isinstance(b, FactoredFrac):
+            if b.is_zero():
+                raise EvalError("division by an identically-zero denominator", span)
+            return a * b.inverse()
+        if b == 0:
+            raise EvalError("division by zero", span)
+        return a * (1 / Fraction(b))
+
+    def power(self, base, e: int, span):
+        if isinstance(base, FactoredFrac):
+            try:
+                return base ** e
+            except ZeroDenominatorError:
+                pass
+        elif e >= 0:
             return base ** e
-        except ZeroDenominatorError:
-            raise EvalError(
-                "zero cannot be raised to a negative power", node.span
-            ) from None
-    if isinstance(node, Sum):
-        lo = _ev(node.lo, env)
-        hi = _ev(node.hi, env)
-        if not isinstance(lo, int) or not isinstance(hi, int):
-            raise EvalError(
-                "sum bounds did not evaluate to integers", node.span
-            )
-        acc: Value = 0
-        inner = dict(env)
-        for j in range(lo, hi + 1):
-            inner[node.binder] = j
-            acc = acc + _ev(node.body, inner)
-        return acc
-    if isinstance(node, Call):
-        return _ev_call(node, env)
-    raise EvalError(f"cannot evaluate {type(node).__name__}", node.span)
+        elif base != 0:
+            return Fraction(base) ** e
+        raise EvalError("zero cannot be raised to a negative power", span)
+
+    def power_sum(self, base, terms, span):
+        return sum((c * self.power(base, e, span) for c, e in terms), 0)
 
 
-def _ev_inverse(node: Expr, env: Env) -> Value:
-    """Evaluate 1/node, descending products and powers so denominator
-    factors like (1+x)^k stay structurally shared."""
-    if isinstance(node, Mul):
-        return _ev_inverse(node.left, env) * _ev_inverse(node.right, env)
-    if isinstance(node, Div):
-        right = _ev(node.right, env)
-        if _scalar(right) and right == 0 or (
-            isinstance(right, FactoredFrac) and right.is_zero()
-        ):
-            raise EvalError("division by zero", node.right.span)
-        return _ev_inverse(node.left, env) * right
-    if isinstance(node, Neg):
-        return -_ev_inverse(node.child, env)
-    if isinstance(node, Pow):
-        e = _ev(node.exponent, env)
-        if not isinstance(e, int):
-            raise EvalError(
-                "exponent did not evaluate to an integer", node.exponent.span
-            )
-        if e == 0:
-            return 1
-        base_inv = _ev_inverse(node.base, env)
-        if _scalar(base_inv):
-            return Fraction(base_inv) ** e
-        return base_inv ** e
-    value = _ev(node, env)
-    if _scalar(value):
-        if value == 0:
-            raise EvalError("division by zero", node.span)
-        return Fraction(1) / Fraction(value)
-    if value.is_zero():
-        raise EvalError(
-            "division by an identically-zero denominator", node.span
-        )
-    try:
-        return value.inverse()
-    except ZeroDenominatorError:
-        raise EvalError(
-            "division by an identically-zero denominator", node.span
-        ) from None
-
-
-def _int_args(node: Call, env: Env) -> list[int]:
-    vals = []
-    for arg in node.args:
-        v = _ev(arg, env)
-        if not isinstance(v, int):
-            raise EvalError(
-                f"argument of {node.func} did not evaluate to an integer",
-                arg.span,
-            )
-        vals.append(v)
-    return vals
-
-
-def _ev_call(node: Call, env: Env) -> Value:
-    args = _int_args(node, env)
-    try:
-        if node.func == "H":
-            return harmonic(args[0])
-        if node.func == "Hr":
-            return harmonic_gen(args[0], args[1])
-        if node.func == "C":
-            return binom_int(args[0], args[1])
-        if node.func == "CS":
-            return binom_factor(args[0], args[1])
-        if node.func == "PSID":
-            return psi_factor(args[0], args[1])
-        if node.func == "PSI1D":
-            return psi1_factor(args[0], args[1])
-    except ValueError as exc:
-        raise EvalError(str(exc), node.span) from None
-    raise EvalError(f"unknown builtin {node.func!r}", node.span)
+_EXACT = _Exact()
 
 
 def eval(
@@ -211,13 +93,15 @@ def eval(
         raise ValueError("evaluate one side of an identity at a time")
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ValueError(f"n must be an integer >= 1, got {n!r}")
-    env: Env = {"n": n}
+    env = {"n": n}
     if bindings:
         for name, value in bindings.items():
+            if name in ("n", "s", "x"):
+                raise ValueError(f"binding {name!r} names a free variable")
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ValueError(f"binding {name!r} must be an integer")
             env[name] = value
-    value = _ev(ast, env)
+    value = compiled(ast)(_EXACT, env)
     if isinstance(value, FactoredFrac):
         return value.to_bifrac()
     return BiFrac.from_rational(value)

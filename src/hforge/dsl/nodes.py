@@ -115,6 +115,7 @@ class Sum(Node):
     body: "Expr"
     span: Span = field(default=_NO_SPAN, compare=False, repr=False)
     domain: Optional[str] = field(default=None, compare=False, repr=False)
+    binder_span: Span = field(default=_NO_SPAN, compare=False, repr=False)
 
 
 @dataclass(eq=True)
@@ -163,5 +164,8 @@ def shift_spans(node: Node, delta: int) -> None:
     """Translate every span in the tree by delta (in place)."""
     a, b = node.span
     node.span = (a + delta, b + delta)
+    if isinstance(node, Sum):
+        a, b = node.binder_span
+        node.binder_span = (a + delta, b + delta)
     for child in iter_children(node):
         shift_spans(child, delta)

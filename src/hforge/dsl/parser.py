@@ -285,9 +285,8 @@ class _Parser:
         self.expect_op(",", "after the sum range")
         body = self.expr()
         close = self.expect_op(")", "to close the sum")
-        return Sum(
-            binder.text, lo, hi, body, span=(head.span[0], close.span[1])
-        )
+        span = (head.span[0], close.span[1])
+        return Sum(binder.text, lo, hi, body, span=span, binder_span=binder.span)
 
 
 def parse(source: str) -> Union[Identity, List[Diagnostic]]:

@@ -11,9 +11,9 @@ checked tree (``Side.ast``), with arithmetic of their own:
   a difference of harmonic numbers and no rational-function value is
   ever constructed.
 
-The independence lies in the evaluator: a walk of the tree with its own
-exact rationals (``_Rat``) and its own binomial and digamma primitives.
-Nothing here calls into ``bivar``, ``exact`` or ``dsl.evaluator``.
+The independence lies in the arithmetic: the compiled form of the tree
+runs on the oracle's own rationals (``_Rat``), binomials and digammas;
+nothing here calls into ``bivar``, ``exact`` or ``dsl.evaluator``.
 
 ``_Rat`` is a reduced rational with a positive denominator.  It does
 ``Fraction``'s arithmetic by ``Fraction``'s algorithms (Henrici's gcd
@@ -23,14 +23,13 @@ Integers stay ``int``; ``harmonic`` values and rational literals become
 ``_Rat`` at the leaf.  The sample points themselves, ``ctx.s`` and the x
 grid, stay ``Fraction``, and so do the certificates.
 
-One walk evaluates a side over a cell's whole grid (``_Grid``).  A value
+One run evaluates a side over a cell's whole grid (``_Grid``).  A value
 that depends on neither s nor x is computed once per cell, one that
-depends on x alone once per x, and one free of x once per s.  A product
-multiplies its factors free of s and x first, then applies the result
-to the others once.  A sum shaped ``c(k) * b^e(k)`` with consecutive
-exponents builds its coefficient list once per s, brings it to one
-integer row over a common denominator, and evaluates that row by
-Horner's rule at each x.  At a sample value s, ``_PointCtx`` keeps prefix
+depends on x alone once per x, and one free of x once per s.  A sum
+shaped ``c(k) * b^e(k)`` with b x-only and consecutive exponents builds
+its coefficient list once per s, brings it to one integer row over a
+common denominator, and evaluates that row by Horner's rule at each x.
+At a sample value s, ``_PointCtx`` keeps prefix
 sums of ``1/(s+j)`` and ``1/(s+j)^2`` and the binomials ``C(s+shift, k)``,
 grown on demand; while memoization is on (``special.set_memoization``),
 one context per integer s serves every cell of a sweep, and
@@ -49,20 +48,7 @@ from itertools import repeat
 from typing import Mapping
 
 from .catalog import IdentityEntry, Side, lookup
-from .dsl.nodes import (
-    Add,
-    Call,
-    Div,
-    IntLit,
-    Mul,
-    Neg,
-    Pow,
-    RatLit,
-    Sub,
-    Sum,
-    Var,
-    iter_children,
-)
+from .dsl.compiled import compiled
 from .report import Report, ReportRow
 from .special import (
     MemoInfo,
@@ -337,7 +323,7 @@ def _horner_row(coeffs: list, lo: int, xs) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# The statement evaluator
+# The grid arithmetic
 # ---------------------------------------------------------------------------
 
 
@@ -345,9 +331,6 @@ def _div(a, b):
     if type(a) is int and type(b) is int:
         return _quotient(a, 1, b, 1)
     return a / b
-
-
-_BINARY = {Add: operator.add, Sub: operator.sub}
 
 
 def _lift(op, a, b):
@@ -390,100 +373,37 @@ def _at(value, i: int, j: int):
     return value
 
 
-def _factors(node, inverted: bool, out: list) -> list:
-    """The factors of a product chain as (node, inverted) pairs, in order.
-
-    A quotient is split only where it is not itself a divisor, so each
-    divisor's zero still raises: ``a/(b*c)`` gives b and c inverted, and
-    ``a/(b/c)`` keeps ``b/c`` whole.
-    """
-    kind = type(node)
-    if kind is Mul or (kind is Div and not inverted):
-        _factors(node.left, inverted, out)
-        _factors(node.right, inverted or kind is Div, out)
-    else:
-        out.append((node, inverted))
-    return out
-
-
-def _uses(node, name: str) -> bool:
-    """Whether ``name`` occurs free in the tree."""
-    if type(node) is Var:
-        return node.name == name
-    if type(node) is Sum and node.binder == name:
-        return _uses(node.lo, name) or _uses(node.hi, name)
-    return any(_uses(child, name) for child in iter_children(node))
-
-
 class _Grid:
     """A cell's sample grid: the contexts of its s values and its x values.
 
-    ``ev`` evaluates a checked tree over the whole grid in one walk.  Its
-    value is a scalar (free of s and x), a tuple over the x values (free
-    of s), a list over the s values of scalars (free of x), or a list
-    over the s values of tuples over the x values.
+    The arithmetic of a side's compiled form (``dsl.compiled``) over the
+    whole grid.  A value is a scalar (free of s and x), a tuple over the
+    x values (free of s), a list over the s values of scalars (free of
+    x), or a list over the s values of tuples over the x values.
     """
 
     __slots__ = ("ctxs", "s", "x")
+
+    rat = staticmethod(_rat)
+    neg = functools.partial(_map, operator.neg)
+    add = functools.partial(_lift, operator.add)
+    sub = functools.partial(_lift, operator.sub)
+    mul = functools.partial(_lift, operator.mul)
 
     def __init__(self, ctxs, xs):
         self.ctxs = ctxs
         self.s = [_rat(ctx.s) for ctx in ctxs]
         self.x = tuple(map(_rat, xs))
 
-    def ev(self, node, env: dict):
-        kind = type(node)
-        if kind is Mul or kind is Div:
-            return self._product(node, env)
-        op = _BINARY.get(kind)
-        if op is not None:
-            return _lift(op, self.ev(node.left, env), self.ev(node.right, env))
-        if kind is Var:
-            name = node.name
-            if name == "s":
-                return self.s
-            if name == "x":
-                return self.x
-            return env[name]
-        if kind is IntLit:
-            return node.value
-        if kind is RatLit:
-            return _rat(node.value)
-        if kind is Call:
-            return self._call(node.func, [self.ev(a, env) for a in node.args])
-        if kind is Sum:
-            return self._sum(node, env)
-        if kind is Pow:
-            e = self.ev(node.exponent, env)
-            if e < 0:
-                return _map(lambda v: _rat(v) ** e, self.ev(node.base, env))
-            return _map(lambda v: v ** e, self.ev(node.base, env))
-        if kind is Neg:
-            return _map(operator.neg, self.ev(node.child, env))
-        raise TypeError(f"cannot evaluate {kind.__name__}")
+    def div(self, a, b, span):
+        return _lift(_div, a, b)
 
-    def _product(self, node, env: dict):
-        """A chain of ``*`` and ``/``: the factors free of s and x are
-        combined first, and their product is applied to the others once."""
-        scalar, rest = 1, []
-        for factor, inverted in _factors(node, False, []):
-            v = self.ev(factor, env)
-            if type(v) is list or type(v) is tuple:
-                rest.append((_div if inverted else operator.mul, v))
-            elif inverted:
-                scalar = _div(scalar, v)
-            else:
-                scalar = scalar * v
-        if not rest:
-            return scalar
-        op, acc = rest[0]
-        if op is _div or scalar != 1:
-            acc = _lift(op, scalar, acc)
-        for op, v in rest[1:]:
-            acc = _lift(op, acc, v)
-        return acc
+    def power(self, a, e: int, span):
+        if e < 0:
+            return _map(lambda v: _rat(v) ** e, a)
+        return _map(lambda v: v ** e, a)
 
-    def _call(self, func: str, args: list[int]):
+    def call(self, func: str, args: list[int], span):
         if func == "H":
             return _rat(harmonic(*args))
         if func == "Hr":
@@ -503,54 +423,29 @@ class _Grid:
             return [ctx.psi1(a, b) for ctx in self.ctxs]
         raise ValueError(f"unknown builtin {func!r}")
 
-    def _sum(self, node: Sum, env: dict):
-        ks = range(self.ev(node.lo, env), self.ev(node.hi, env) + 1)
-        if not ks:
-            return 0
-        env = dict(env)
-        value = self._horner_sum(node, ks, env)
-        if value is not None:
-            return value
-        acc = 0
-        for k in ks:
-            env[node.binder] = k
-            acc = _lift(operator.add, acc, self.ev(node.body, env))
-        return acc
-
-    def _horner_sum(self, node: Sum, ks: range, env: dict):
-        """A sum of ``c(k) * b^e(k)``, with c free of x, b an x-only value
-        that does not use the binder and the exponents consecutive from a
-        nonnegative one, by Horner's rule at each x; None for any other."""
-        body = node.body
-        if (
-            type(body) is not Mul
-            or type(body.right) is not Pow
-            or _uses(body.left, "x")
-            or _uses(body.right.base, node.binder)
-        ):
-            return None
-        b = self.ev(body.right.base, env)
-        exps = []
-        for k in ks:
-            env[node.binder] = k
-            exps.append(self.ev(body.right.exponent, env))
+    def power_sum(self, base, terms, span):
+        """By Horner's rule at each x when the base is an x-only value and
+        the exponents are consecutive from a nonnegative one (the
+        coefficients are free of x); term by term otherwise."""
+        terms = list(terms)
+        exps = [e for _, e in terms]
         lo = exps[0]
-        if type(b) is not tuple or lo < 0 or exps != list(range(lo, lo + len(ks))):
-            return None
-        coeffs = []
-        for k in ks:
-            env[node.binder] = k
-            coeffs.append(self.ev(body.left, env))
+        if type(base) is not tuple or lo < 0 or exps != list(range(lo, lo + len(exps))):
+            acc = 0
+            for c, e in terms:
+                acc = self.add(acc, self.mul(c, self.power(base, e, span)))
+            return acc
+        coeffs = [c for c, _ in terms]
         if all(type(c) is not list for c in coeffs):
-            return _horner_row(coeffs, lo, b)
+            return _horner_row(coeffs, lo, base)
         m = len(self.ctxs)
         rows = zip(*[c if type(c) is list else [c] * m for c in coeffs])
-        return [_horner_row(row, lo, b) for row in rows]
+        return [_horner_row(row, lo, base) for row in rows]
 
 
 def _walk(side: Side, n: int, params: Params, ctxs=(), xs=()):
     """The side's value at n over the grid ``ctxs`` x ``xs`` (see ``_Grid``)."""
-    return _Grid(ctxs, xs).ev(side.ast, {**params, "n": n})
+    return compiled(side.ast)(_Grid(ctxs, xs), {**params, "n": n})
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@ from hforge.dsl import (
     pretty_print,
 )
 from hforge.bivar import FactoredFrac
+from hforge.catalog import Side
 from hforge.dsl import eval as dsl_eval
 from hforge.special import factor_memo_info, harmonic, psi_factor, set_memoization
 
@@ -194,6 +195,27 @@ class TestChecker:
         with pytest.raises(ValueError):
             check(ok(parse_expr("s")), params=("s",))
 
+    def test_a_binder_may_not_shadow_a_free_variable(self):
+        for src, name, span in [
+            ("sum(s=1..n, s)", "s", (4, 5)),
+            ("sum( x = 1..n, 1)", "x", (5, 6)),
+            ("sum(n=1..3, n)", "n", (4, 5)),
+        ]:
+            assert diags(check(ok(parse_expr(src)))) == [
+                (span, f"sum binder {name!r} shadows a free variable")
+            ]
+        assert diags(check(ok(parse_expr("sum(m=1..n, m)")), params=("m",))) == [
+            ((4, 5), "sum binder 'm' shadows a free variable")
+        ]
+        # the binder's span is global to a corpus line, like every other
+        (entry,), _ = parse_corpus("S : sum(s=1..n, s) == 0\n")
+        assert diags(check(entry.identity))[0][0] == (8, 9)
+        # both routes read the checked tree, so neither evaluates it
+        with pytest.raises(ValueError, match="shadows a free variable"):
+            Side("sum(s=1..n, s)").ast
+        # an inner binder may reuse an enclosing binder's name
+        ok(check(ok(parse_expr("sum(k=1..n, sum(k=1..k, k))"))))
+
     def test_identity_checks_both_sides(self):
         got = check(ok(parse("H(y) == z")))
         msgs = sorted(m for _, m in diags(got))
@@ -226,10 +248,28 @@ class TestEvaluator:
         v = dsl_eval(ok(parse_expr("k + 1")), 1, bindings={"k": 3})
         assert v.as_constant() == 4
 
+    def test_bindings_may_not_name_n_s_or_x(self):
+        ast = ok(check(ok(parse_expr("m*n + s + x")), params=("m",)))
+        for name in ("n", "s", "x"):
+            with pytest.raises(ValueError, match=f"binding '{name}'"):
+                dsl_eval(ast, 3, {"m": 2, name: 7})
+        with pytest.raises(ValueError):
+            Side("m*n", ("m",))(3, {"m": 2, "n": 7})
+        assert Side("m*n", ("m",))(3, {"m": 2}).as_constant() == 6
+
     def test_division_by_zero_carries_a_span(self):
         with pytest.raises(EvalError) as exc:
             dsl_eval(ok(parse_expr("1/(n-1)")), 1)
         assert exc.value.span == (3, 6)
+
+    def test_a_zero_divisor_under_a_zero_power_raises(self):
+        # the base of a divisor b^0 is evaluated, so its own zero divisor
+        # raises; 0^0 is 1, also as a divisor
+        with pytest.raises(EvalError) as exc:
+            dsl_eval(ok(check(ok(parse_expr("1/((1/(n-n))^0)")))), 1)
+        assert exc.value.span == (7, 10)
+        assert self.const("1/(0^0)", 1) == 1
+        assert self.const("2/(n^0) + 1/(0^0)^2", 1) == 3
 
     def test_builtin_validation_becomes_eval_error(self):
         with pytest.raises(EvalError):

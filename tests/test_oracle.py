@@ -2,6 +2,7 @@
 
 import ast
 import dataclasses
+import importlib
 import math
 import operator
 from fractions import Fraction
@@ -23,6 +24,9 @@ from hforge.oracle import (
     sampling_verify,
 )
 from hforge.special import set_memoization
+
+compiled_module = importlib.import_module("hforge.dsl.compiled")
+evaluator = importlib.import_module("hforge.dsl.evaluator")
 
 POINTS = (Fraction(1), Fraction(7), Fraction(53), Fraction(1, 3), Fraction(-5, 2))
 
@@ -122,6 +126,7 @@ class TestRat:
             "CS(n,1) / ((n+1) * (n-n))",
             "x * CS(n,1) / (2*n - 2*n) * PSID(n,1)",
             "CS(n,1) / (s - 1)",
+            "1/((1/(n-n))^0)",
         ):
             with pytest.raises(ZeroDivisionError):
                 oracle._walk(Side(source), 2, {}, grid, xs)
@@ -136,6 +141,7 @@ class TestRat:
                 psid = sum(1 / (ctx.s + t) for t in (1, 2, 3))
                 want = Fraction(2, 5) * (ctx.s + 4) * x / 12 * psid * (x + 1)
                 assert oracle._at(got, i, j) == want
+        assert oracle._walk(Side("1/(0^0)"), 4, {}, grid, xs) == 1
 
 
 class TestPointCtx:
@@ -432,17 +438,78 @@ def test_a_nonpositive_sample_point_is_refused(monkeypatch):
         sampling_verify(lookup("THM-2.6"), 3)
 
 
-def test_the_oracle_imports_nothing_from_the_symbolic_engine():
-    banned = ("hforge.bivar", "hforge.exact", "hforge.dsl.evaluator")
-    tree = ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
+def _imports(module) -> list[tuple[str, str]]:
+    """(module, name) for each name a module's source imports; a plain
+    ``import m`` gives (m, "")."""
+    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+    package = module.__name__.rsplit(".", 1)[0]
+    out = []
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
-            base = "hforge" if node.level else ""
-            module = ".".join(p for p in (base, node.module or "") if p)
-            names = [module] + [f"{module}.{a.name}" for a in node.names]
+            base = package.rsplit(".", node.level - 1)[0] if node.level else ""
+            source = ".".join(p for p in (base, node.module or "") if p)
+            out.extend((source, a.name) for a in node.names)
         elif isinstance(node, ast.Import):
-            names = [a.name for a in node.names]
-        else:
-            continue
-        for name in names:
-            assert not any(name == b or name.startswith(b + ".") for b in banned), name
+            out.extend((a.name, "") for a in node.names)
+    return out
+
+
+def _within(name: str, banned) -> bool:
+    return any(name == b or name.startswith(b + ".") for b in banned)
+
+
+def test_the_oracle_imports_nothing_from_the_symbolic_engine():
+    banned = ("hforge.bivar", "hforge.exact", "hforge.dsl.evaluator")
+    for source, name in _imports(oracle):
+        assert not _within(source, banned), source
+        assert not _within(f"{source}.{name}", banned), (source, name)
+
+
+def test_only_the_compiled_form_reads_expression_trees():
+    # one walker: neither arithmetic dispatches on the kinds of node, and
+    # the compiled form shares nothing with the symbolic engine
+    kinds = {
+        "Add", "Sub", "Mul", "Div", "Pow", "Neg", "Sum", "Call", "Var", "IntLit", "RatLit"
+    }
+    for module in (oracle, evaluator):
+        for source, name in _imports(module):
+            if source in ("hforge.dsl", "hforge.dsl.nodes"):
+                assert name not in kinds, (module.__name__, name)
+    banned = ("hforge.bivar", "hforge.exact", "hforge.special", "hforge.dsl.evaluator")
+    for source, name in _imports(compiled_module):
+        assert not _within(source, banned), source
+        assert not _within(f"{source}.{name}", banned), (source, name)
+
+
+def test_a_tree_compiles_once(monkeypatch):
+    from hforge import catalog
+
+    side = Side("sum(k=1..n, C(n,k)*x^k) / (1+x)^n")
+    assert compiled_module.compiled(side.ast) is compiled_module.compiled(side.ast)
+    # fresh sides for every entry, so that nothing is compiled yet
+    fresh = {
+        e.tag: dataclasses.replace(
+            e,
+            lhs=Side(e.lhs.source, e.lhs.params),
+            rhs=Side(e.rhs.source, e.rhs.params),
+            rhs_variants={
+                k: Side(v.source, v.params) for k, v in e.rhs_variants.items()
+            },
+        )
+        for e in catalog_entries()
+    }
+    monkeypatch.setattr(catalog, "_ENTRIES", list(fresh.values()))
+    monkeypatch.setattr(catalog, "_BY_TAG", fresh)
+    seen = []
+    compile_node = compiled_module._compile
+    monkeypatch.setattr(
+        compiled_module, "_compile", lambda node: seen.append(node) or compile_node(node)
+    )
+    report = catalog.verify_all(3, oracle="both")
+    assert report.total == 117 and report.all_ok()
+    assert len({id(node) for node in seen}) == len(seen)
+    sides = [
+        e.rhs_for(v) for e in fresh.values() for v in sorted(e.rhs_variants) or [None]
+    ]
+    sides += [e.lhs for e in fresh.values()]
+    assert {id(side.ast) for side in sides} <= {id(node) for node in seen}
