@@ -54,12 +54,11 @@ from .special import (
     binom_int,
     binom_neg3half,
     binom_shift,
+    clear_memos,
     harmonic,
     harmonic_gen,
-    memoization_enabled,
     psi1_diff,
     psi_diff,
-    set_memoization,
 )
 
 __version__ = "0.1.0"
@@ -83,6 +82,7 @@ __all__ = [
     "binom_int",
     "binom_neg3half",
     "binom_shift",
+    "clear_memos",
     "cross_difference",
     "eval_side",
     "ffsum",
@@ -90,12 +90,10 @@ __all__ = [
     "harmonic_gen",
     "lookup",
     "make_witness",
-    "memoization_enabled",
     "poly_gcd",
     "poly_lcm",
     "psi1_diff",
     "psi_diff",
-    "set_memoization",
     "tags",
     "verify",
     "verify_all",

@@ -17,7 +17,6 @@ from typing import Mapping, Sequence
 
 from .bivar import BiFrac, bifrac_eq
 from .report import Report, ReportRow, make_witness
-from .special import memoization_enabled, set_memoization
 
 # Unused here; the tracer in perfbench/spans.py patches these names in
 # this module, so they stay importable from it.
@@ -666,12 +665,6 @@ def _execute(cells: list[tuple], workers: int, oracle: str) -> Report:
         return Report(_run_batch(cells, oracle))
     size = -(-len(cells) // (4 * workers))
     batches = [cells[i : i + size] for i in range(0, len(cells), size)]
-    # Workers get the memo setting explicitly: under ``spawn`` they do
-    # not inherit this process's module globals.
-    with ProcessPoolExecutor(
-        max_workers=min(workers, len(batches)),
-        initializer=set_memoization,
-        initargs=(memoization_enabled(),),
-    ) as pool:
+    with ProcessPoolExecutor(max_workers=min(workers, len(batches))) as pool:
         futures = [pool.submit(_run_batch, batch, oracle) for batch in batches]
         return Report([row for f in futures for row in f.result()])

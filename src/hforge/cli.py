@@ -25,7 +25,7 @@ from .catalog import IdentityEntry, catalog, verify, verify_all  # noqa: F401
 from .exact import PoleError
 from .oracle import ORACLE_MODES
 from .report import Report
-from .special import set_memoization
+from .special import clear_memos
 
 _FORMATS = click.Choice(["text", "json", "csv"])
 _ORACLES = click.Choice(ORACLE_MODES)
@@ -340,19 +340,18 @@ def eval_cmd(expr, n, s_text, x_text):
 @click.option("--n-max", type=int, default=10, show_default=True)
 @click.option("--workers", "workers_text", default=None,
               help="Comma list of worker counts [default: HFORGE_WORKERS or 1].")
-@click.option("--memo", type=click.Choice(["on", "off", "both"]), default="on",
-              show_default=True, help="Memoization setting(s) to sweep.")
 @click.option("--format", "fmt", type=click.Choice(["text", "csv"]), default="text",
               show_default=True)
 @click.option("--output", type=click.Path(dir_okay=False), default=None)
-def bench_cmd(ids, n_min, n_max, workers_text, memo, fmt, output):
+def bench_cmd(ids, n_min, n_max, workers_text, fmt, output):
     """Time each cell of a catalog sweep (capped like ``verify --all``) per
-    worker count and memo setting; CSV header id,n,workers,memo,nanos.
+    worker count; CSV header id,n,workers,nanos.
 
-    A cell's nanos are measured inside the cell.  After the cells of each
-    (workers, memo) pair comes one record with id ``sweep`` and n = n-max
-    whose nanos are the wall-clock time of the whole sweep, pool start-up
-    included, so the worker counts can be compared by it."""
+    Every sweep starts cold: the memos are emptied (``clear_memos``)
+    before it.  A cell's nanos are measured inside the cell.  After the
+    cells of each worker count comes one record with id ``sweep`` and
+    n = n-max whose nanos are the wall-clock time of the whole sweep, pool
+    start-up included, so the worker counts can be compared by it."""
     if workers_text is None:
         worker_counts = (_default_workers(),)
     else:
@@ -367,33 +366,25 @@ def bench_cmd(ids, n_min, n_max, workers_text, memo, fmt, output):
     if n_min < 1 or n_min > n_max:
         raise click.UsageError("need 1 <= n-min <= n-max")
     tags = [e.tag for e in _resolve_entries(ids)] if ids else None
-    memo_modes = ("on", "off") if memo == "both" else (memo,)
     records = []
-    try:
-        for w in worker_counts:
-            for mode in memo_modes:
-                set_memoization(mode == "on")
-                start = time.perf_counter_ns()
-                part = verify_all(n_max, n_min=n_min, tags=tags, workers=w)
-                wall = time.perf_counter_ns() - start
-                for row in part.rows:
-                    label = row.id
-                    extras = [f"{k}={row.params[k]}" for k in sorted(row.params)]
-                    if extras:
-                        label += "[" + ",".join(extras) + "]"
-                    records.append((label, row.n, w, mode, row.elapsed_ns))
-                records.append(("sweep", n_max, w, mode, wall))
-    finally:
-        set_memoization(True)
+    for w in worker_counts:
+        clear_memos()
+        start = time.perf_counter_ns()
+        part = verify_all(n_max, n_min=n_min, tags=tags, workers=w)
+        wall = time.perf_counter_ns() - start
+        for row in part.rows:
+            label = row.id
+            extras = [f"{k}={row.params[k]}" for k in sorted(row.params)]
+            if extras:
+                label += "[" + ",".join(extras) + "]"
+            records.append((label, row.n, w, row.elapsed_ns))
+        records.append(("sweep", n_max, w, wall))
     if fmt == "csv":
-        lines = ["id,n,workers,memo,nanos"]
-        lines += [f"{r[0]},{r[1]},{r[2]},{r[3]},{r[4]}" for r in records]
+        lines = ["id,n,workers,nanos"]
+        lines += [f"{r[0]},{r[1]},{r[2]},{r[3]}" for r in records]
     else:
-        lines = [f"{'id':<20} {'n':>4} {'workers':>7} {'memo':<4} {'nanos':>14}"]
-        lines += [
-            f"{r[0]:<20} {r[1]:>4} {r[2]:>7} {r[3]:<4} {r[4]:>14}"
-            for r in records
-        ]
+        lines = [f"{'id':<20} {'n':>4} {'workers':>7} {'nanos':>14}"]
+        lines += [f"{r[0]:<20} {r[1]:>4} {r[2]:>7} {r[3]:>14}" for r in records]
     _emit("\n".join(lines) + "\n", output)
 
 

@@ -31,9 +31,9 @@ its coefficient list once per s, brings it to one integer row over a
 common denominator, and evaluates that row by Horner's rule at each x.
 At a sample value s, ``_PointCtx`` keeps prefix
 sums of ``1/(s+j)`` and ``1/(s+j)^2`` and the binomials ``C(s+shift, k)``,
-grown on demand; while memoization is on (``special.set_memoization``),
-one context per integer s serves every cell of a sweep, and
-``point_memo_info`` reports its use.
+grown on demand; one context per integer s, memoized process-wide,
+serves every cell of a sweep, ``point_memo_info`` reports its use and
+``special.clear_memos`` empties it.
 """
 
 from __future__ import annotations
@@ -55,7 +55,6 @@ from .special import (
     binom_int,
     harmonic,
     harmonic_gen,
-    memoization_enabled,
     register_memo,
 )
 
@@ -248,19 +247,14 @@ class _PointCtx:
 
 @register_memo
 @functools.lru_cache(maxsize=None)
-def _shared_point_ctx(s: int) -> _PointCtx:
-    return _PointCtx(s)
-
-
 def _point_ctx(s: int) -> _PointCtx:
-    """The context at sample value s: shared by every cell while
-    memoization is on, fresh for each cell otherwise."""
-    return _shared_point_ctx(s) if memoization_enabled() else _PointCtx(s)
+    """The context at sample value s, shared by every cell."""
+    return _PointCtx(s)
 
 
 def point_memo_info() -> MemoInfo:
     """Hit, miss and entry counts of the per-s context memo."""
-    info = _shared_point_ctx.cache_info()
+    info = _point_ctx.cache_info()
     return MemoInfo(hits=info.hits, misses=info.misses, size=info.currsize)
 
 

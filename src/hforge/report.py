@@ -10,6 +10,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .bivar import BiFrac, cross_difference
+from .exact import PoleError
 
 PROBE_S = Fraction(1)
 PROBE_X = Fraction(2)
@@ -45,7 +46,7 @@ def make_witness(lhs: BiFrac, rhs: BiFrac) -> Witness:
 def _probe(side: BiFrac) -> str:
     try:
         return str(side.eval(PROBE_S, PROBE_X))
-    except Exception:
+    except PoleError:
         return "pole"
 
 

@@ -20,11 +20,11 @@ denominator factors, computed on integer coefficient lists with no
 take the numerator ``sign * sum_j prod_{i != j} (s+i)^m`` from integer
 telescoping ``N <- N*(s+j)^m + D``, ``D <- D*(s+j)^m``, with no division.
 It is already reduced, because every pole is distinct and has a nonzero
-residue.  While memoization is on, all three builders are memoized
-process-wide; their values are never mutated, so one value is shared by
-every cell and side that asks for it.  Other
-modules put their own process-wide memos under the same switch with
-``register_memo``.
+residue.  All three builders are memoized process-wide; their values are
+never mutated, so one value is shared by every cell and side that asks for
+it.  Other modules register their own process-wide memos with
+``register_memo``, and ``clear_memos`` empties them all with the harmonic
+table.
 """
 
 from __future__ import annotations
@@ -60,7 +60,12 @@ class HarmonicCache:
                 h2.append(h2[i - 1] + Fraction(1, i * i))
 
     def get(self, n: int, r: int) -> Fraction:
-        table = self._h1 if r == 1 else self._h2
+        if r == 1:
+            table = self._h1
+        elif r == 2:
+            table = self._h2
+        else:
+            raise ValueError(f"the table holds orders 1 and 2, got r={r!r}")
         if n >= len(table):
             self._extend(n)
         return table[n]
@@ -70,33 +75,13 @@ class HarmonicCache:
 
 
 _cache = HarmonicCache()
-_memoized = True
-
-
-def set_memoization(enabled: bool) -> None:
-    """Toggle the harmonic table and every registered memo (used by
-    benchmarking).
-
-    Either way all of them are emptied, so a sweep that follows starts cold.
-    """
-    global _memoized, _cache
-    _memoized = bool(enabled)
-    _cache = HarmonicCache()
-    for memo in _MEMOS:
-        memo.cache_clear()
-
-
-def memoization_enabled() -> bool:
-    return _memoized
 
 
 def harmonic(n: int) -> Fraction:
     """H_n = 1 + 1/2 + ... + 1/n, with H_0 = 0."""
     if not isinstance(n, int) or n < 0:
         raise ValueError(f"harmonic index must be a nonnegative integer, got {n!r}")
-    if _memoized:
-        return _cache.get(n, 1)
-    return sum((Fraction(1, i) for i in range(1, n + 1)), start=Fraction(0))
+    return _cache.get(n, 1)
 
 
 def harmonic_gen(n: int, r: int) -> Fraction:
@@ -105,10 +90,8 @@ def harmonic_gen(n: int, r: int) -> Fraction:
         raise ValueError(f"harmonic index must be a nonnegative integer, got {n!r}")
     if not isinstance(r, int) or r < 1:
         raise ValueError(f"harmonic order must be a positive integer, got {r!r}")
-    if r == 1:
-        return harmonic(n)
-    if r == 2 and _memoized:
-        return _cache.get(n, 2)
+    if r <= 2:
+        return _cache.get(n, r)
     return sum((Fraction(1, i ** r) for i in range(1, n + 1)), start=Fraction(0))
 
 
@@ -162,25 +145,19 @@ def psi1_diff(a: int, b: int) -> RatFunc:
 def binom_factor(shift: int, k: int) -> FactoredFrac:
     """C(s+shift, k) as a polynomial factor in s."""
     _check_binom(shift, k)
-    if _memoized:
-        return _binom_factor_memo(shift, k)
-    return _binom_factor_build(shift, k)
+    return _binom_factor_memo(shift, k)
 
 
 def psi_factor(a: int, b: int) -> FactoredFrac:
     """psi(s+a) - psi(s+b) with the (s+j) poles kept as shared factors."""
     _check_oriented(a, b)
-    if _memoized:
-        return _psi_factor_memo(a, b, 1)
-    return _psi_factor_build(a, b, 1)
+    return _psi_factor_memo(a, b, 1)
 
 
 def psi1_factor(a: int, b: int) -> FactoredFrac:
     """psi'(s+a) - psi'(s+b) with squared (s+j) poles kept as factors."""
     _check_oriented(a, b)
-    if _memoized:
-        return _psi_factor_memo(a, b, 2)
-    return _psi_factor_build(a, b, 2)
+    return _psi_factor_memo(a, b, 2)
 
 
 def _binom_factor_build(shift: int, k: int) -> FactoredFrac:
@@ -222,17 +199,25 @@ def _times_linear(coeffs: list[int], j: int) -> list[int]:
 _binom_factor_memo = functools.lru_cache(maxsize=None)(_binom_factor_build)
 _psi_factor_memo = functools.lru_cache(maxsize=None)(_psi_factor_build)
 _FACTOR_MEMOS = (_binom_factor_memo, _psi_factor_memo)
-# Every memo that set_memoization empties: the factor memo and the ones
-# other modules add with register_memo.
+# Every memo that clear_memos empties: the factor memo and the ones other
+# modules add with register_memo.
 _MEMOS = list(_FACTOR_MEMOS)
 
 
 def register_memo(memo):
-    """Put an ``lru_cache``-wrapped function under the memo switch, so that
-    ``set_memoization`` empties it too.  Returns ``memo``; usable as a
-    decorator."""
+    """Have ``clear_memos`` empty an ``lru_cache``-wrapped function too.
+    Returns ``memo``; usable as a decorator."""
     _MEMOS.append(memo)
     return memo
+
+
+def clear_memos() -> None:
+    """Empty the harmonic table and every registered memo, so that the
+    work that follows starts cold."""
+    global _cache
+    _cache = HarmonicCache()
+    for memo in _MEMOS:
+        memo.cache_clear()
 
 
 class MemoInfo(NamedTuple):

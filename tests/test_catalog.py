@@ -28,7 +28,8 @@ from hforge.catalog import (
 from hforge.catalog import catalog as catalog_entries
 from hforge.dsl import check, load_corpus
 from hforge.dsl import eval as dsl_eval
-from hforge.special import memoization_enabled, set_memoization
+from hforge.oracle import point_memo_info
+from hforge.special import factor_memo_info
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -244,6 +245,9 @@ class TestVerify:
     def test_parallel_rows_match_serial_rows(self, monkeypatch, method):
         pool_with_start_method(monkeypatch, method)
         serial = verify_all(4, oracle="both", workers=1)
+        # forked workers inherit these filled memos, spawned ones start
+        # empty; either way the rows are the serial ones
+        assert factor_memo_info().size > 0 and point_memo_info().size > 0
         parallel = verify_all(4, oracle="both", workers=2)
         assert serial.total == 156 and serial.all_ok()
         assert timeless(parallel) == timeless(serial)
@@ -296,27 +300,6 @@ class TestVerify:
         submitted.clear()
         assert verify_all(2, tags=["ID-1"], workers=3).total == 2
         assert sizes == [2, 2] and submitted == [1, 1]
-
-    def test_memo_setting_reaches_spawned_workers(self, monkeypatch):
-        from hforge import catalog
-
-        seen = []
-
-        class SpawnPool(ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                ctx = multiprocessing.get_context("spawn")
-                super().__init__(*args, mp_context=ctx, **kwargs)
-                seen.append(self.submit(memoization_enabled).result(timeout=120))
-
-        monkeypatch.setattr(catalog, "ProcessPoolExecutor", SpawnPool)
-        try:
-            set_memoization(False)
-            serial = verify_all(4, workers=1)
-            spawned = verify_all(4, workers=2)
-        finally:
-            set_memoization(True)
-        assert seen == [False]
-        assert timeless(spawned) == timeless(serial)
 
     def test_catalog_sweep_small(self):
         report = verify_all(2)

@@ -278,19 +278,15 @@ class TestBenchCommand:
             "--workers", "1,2", "--format", "csv",
         )
         lines = r.output.strip().splitlines()
-        assert lines[0] == "id,n,workers,memo,nanos"
+        assert lines[0] == "id,n,workers,nanos"
         # two cells and one sweep record per worker count
         assert len(lines) == 7
         assert {l.split(",")[2] for l in lines[1:]} == {"1", "2"}
 
-    def test_memo_comparison_doubles_rows(self, runner):
-        r = invoke(
-            runner, "bench", "--id", "ID-5", "--n-max", "2",
-            "--memo", "both", "--format", "csv",
-        )
-        lines = r.output.strip().splitlines()[1:]
-        assert len(lines) == 6
-        assert {l.split(",")[3] for l in lines} == {"on", "off"}
+    def test_the_memo_option_is_gone(self, runner):
+        r = invoke(runner, "bench", "--id", "ID-5", "--n-max", "2", "--memo", "on")
+        assert r.exit_code == 2
+        assert "--memo" in r.output + r.stderr
 
     def test_parameter_labels(self, runner):
         r = invoke(
@@ -308,7 +304,7 @@ class TestBenchCommand:
         )
         assert r.exit_code == 0
         header, sweep = r.output.splitlines()
-        assert header == "id,n,workers,memo,nanos"
+        assert header == "id,n,workers,nanos"
         assert sweep.startswith("sweep,16,")
 
     def test_each_sweep_starts_with_cold_tables(self, runner, monkeypatch):
@@ -327,7 +323,7 @@ class TestBenchCommand:
         monkeypatch.setattr(cli, "verify_all", recording)
         r = invoke(
             runner, "bench", "--id", "THM-2.11", "--n-max", "3",
-            "--workers", "1,1", "--memo", "on", "--format", "csv",
+            "--workers", "1,1", "--format", "csv",
         )
         assert r.exit_code == 0
         (before1, after1), (before2, after2) = seen
@@ -337,22 +333,22 @@ class TestBenchCommand:
     def test_each_sweep_ends_with_its_wall_clock_time(self, runner):
         r = invoke(
             runner, "bench", "--id", "ID-5", "--id", "THM-2.6", "--n-max", "3",
-            "--workers", "1,2", "--memo", "both", "--format", "csv",
+            "--workers", "1,2", "--format", "csv",
         )
         assert r.exit_code == 0
         rows = [l.split(",") for l in r.output.strip().splitlines()[1:]]
         sweeps = [i for i, row in enumerate(rows) if row[0] == "sweep"]
-        # one record per (workers, memo) pair, after that pair's six cells
-        assert sweeps == [6, 13, 20, 27]
+        # one record per worker count, after that count's six cells
+        assert sweeps == [6, 13]
         start = 0
         for end in sweeps:
             cells, sweep = rows[start:end], rows[end]
             assert sweep[1] == "3"
-            assert {tuple(c[2:4]) for c in cells} == {tuple(sweep[2:4])}
-            wall = int(sweep[4])
-            assert wall >= max(int(c[4]) for c in cells)
+            assert {c[2] for c in cells} == {sweep[2]}
+            wall = int(sweep[3])
+            assert wall >= max(int(c[3]) for c in cells)
             if sweep[2] == "1":
-                assert wall >= sum(int(c[4]) for c in cells)
+                assert wall >= sum(int(c[3]) for c in cells)
             start = end + 1
 
     def test_the_sweep_record_times_the_whole_call(self, runner, monkeypatch):
@@ -370,13 +366,13 @@ class TestBenchCommand:
         r = invoke(runner, "bench", "--id", "ID-5", "--n-max", "1", "--format", "csv")
         assert r.exit_code == 0
         sweep = r.output.strip().splitlines()[-1].split(",")
-        assert sweep[0] == "sweep" and int(sweep[4]) >= 50_000_000
+        assert sweep[0] == "sweep" and int(sweep[3]) >= 50_000_000
 
     def test_text_format_has_a_header(self, runner):
         r = invoke(runner, "bench", "--id", "ID-5", "--n-max", "1")
         assert r.exit_code == 0
         head = r.output.splitlines()[0].split()
-        assert head == ["id", "n", "workers", "memo", "nanos"]
+        assert head == ["id", "n", "workers", "nanos"]
 
 
 class TestTopLevel:

@@ -32,7 +32,7 @@ from hforge.dsl import (
 from hforge.bivar import FactoredFrac
 from hforge.catalog import Side
 from hforge.dsl import eval as dsl_eval
-from hforge.special import factor_memo_info, harmonic, psi_factor, set_memoization
+from hforge.special import clear_memos, factor_memo_info, harmonic, psi_factor
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus" / "paper.ids"
 
@@ -282,7 +282,7 @@ class TestEvaluator:
             dsl_eval(ok(parse_expr("H(n)")), 0)
 
     def test_builtin_calls_are_built_once_across_evaluations(self):
-        set_memoization(True)
+        clear_memos()
         ast = ok(check(ok(parse_expr("sum(k=1..n, PSID(n,1)^2 + s*PSID(k,1))"))))
         plain = dsl_eval(ast, 3)
         # PSID(1,1), PSID(2,1), PSID(3,1): six calls, three builds

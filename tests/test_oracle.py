@@ -23,7 +23,7 @@ from hforge.oracle import (
     point_memo_info,
     sampling_verify,
 )
-from hforge.special import set_memoization
+from hforge.special import clear_memos
 
 compiled_module = importlib.import_module("hforge.dsl.compiled")
 evaluator = importlib.import_module("hforge.dsl.evaluator")
@@ -240,22 +240,31 @@ def _oracle_sweep(n_max):
 
 class TestPointMemo:
     def test_sweep_agrees_with_memoization_off(self):
-        try:
-            set_memoization(True)
-            on = _oracle_sweep(10)
-            assert point_memo_info().size > 0
-            set_memoization(False)
-            off = _oracle_sweep(10)
-            assert point_memo_info() == (0, 0, 0)
-        finally:
-            set_memoization(True)
-        assert on == off
-        for *_, cert, _ in on:
+        # Every shared context against a fresh one grown to the same
+        # indices, which is what a cell would use with no memo at all.
+        clear_memos()
+        first = _oracle_sweep(10)
+        info = point_memo_info()
+        assert info.size > 0
+        for sv in range(1, info.size + 1):
+            ctx = oracle._point_ctx(sv)
+            fresh = oracle._PointCtx(sv)
+            fresh.psi(len(ctx._p1) - 1, 0)
+            fresh.psi1(len(ctx._p2) - 1, 0)
+            for shift, col in ctx._binom.items():
+                fresh.binom(shift, len(col) - 1)
+            assert ctx._p1 == fresh._p1 and ctx._p2 == fresh._p2, sv
+            assert ctx._binom == fresh._binom, sv
+        # the contexts read above were all there were
+        assert point_memo_info().misses == info.misses
+        clear_memos()
+        assert _oracle_sweep(10) == first
+        for *_, cert, _ in first:
             bs, bx = cert.degree_bound
             assert cert.point_count == (bs + 1) * (bx + 1)
 
     def test_a_repeated_sweep_adds_no_misses(self):
-        set_memoization(True)
+        clear_memos()
         _oracle_sweep(4)
         first = point_memo_info()
         assert first.misses > 0 and first.size == first.misses
@@ -264,16 +273,13 @@ class TestPointMemo:
         assert second.misses == first.misses and second.size == first.size
         assert second.hits > first.hits
 
-    def test_the_switch_empties_the_memo(self):
-        try:
-            for enabled in (False, True):
-                set_memoization(True)
-                sampling_verify(lookup("THM-2.6"), 3)
-                assert point_memo_info().size == 6
-                set_memoization(enabled)
-                assert point_memo_info() == (0, 0, 0)
-        finally:
-            set_memoization(True)
+    def test_clear_memos_empties_the_memo(self):
+        clear_memos()
+        for _ in range(2):
+            sampling_verify(lookup("THM-2.6"), 3)
+            assert point_memo_info().size == 6
+            clear_memos()
+            assert point_memo_info() == (0, 0, 0)
 
 
 class TestDegreeBound:

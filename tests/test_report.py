@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from hforge.bivar import BiFrac, BiPoly
 from hforge.report import Report, ReportRow, Witness, make_witness
 
@@ -27,6 +29,14 @@ class TestWitness:
         lhs = BiFrac(BiPoly.one(), BiPoly.s() - 1)
         w = make_witness(lhs, BiFrac.from_rational(0))
         assert w.lhs_probe == "pole"
+
+    def test_a_probe_error_that_is_not_a_pole_propagates(self, monkeypatch):
+        def broken(self, s0, x0):
+            raise ZeroDivisionError("substitution bug")
+
+        monkeypatch.setattr(BiFrac, "eval", broken)
+        with pytest.raises(ZeroDivisionError, match="substitution bug"):
+            make_witness(BiFrac.from_rational(2), BiFrac.from_rational(1))
 
     def test_round_trip_dict(self):
         w = Witness(cross_diff="0", lhs_probe="1", rhs_probe="1")

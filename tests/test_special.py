@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from hforge import special
+from hforge import catalog, special
 from hforge.bivar import BiFrac, FactoredFrac, bifrac_eq
 from hforge.catalog import verify_all
 from hforge.exact import Poly, RatFunc
@@ -17,15 +17,14 @@ from hforge.special import (
     binom_int,
     binom_neg3half,
     binom_shift,
+    clear_memos,
     factor_memo_info,
     harmonic,
     harmonic_gen,
-    memoization_enabled,
     psi1_diff,
     psi1_factor,
     psi_diff,
     psi_factor,
-    set_memoization,
 )
 
 HALF = Fraction(1, 2)
@@ -58,23 +57,20 @@ class TestHarmonic:
 
 
 class TestMemoization:
-    def test_toggle_is_observable_and_values_agree(self):
-        baseline = [harmonic(n) for n in range(20)]
-        try:
-            set_memoization(False)
-            assert not memoization_enabled()
-            assert [harmonic(n) for n in range(20)] == baseline
-        finally:
-            set_memoization(True)
-        assert memoization_enabled()
+    def test_table_values_agree_with_a_direct_sum(self):
+        clear_memos()
+        for n in range(40):
+            assert harmonic(n) == sum(Fraction(1, i) for i in range(1, n + 1))
+            assert harmonic_gen(n, 2) == sum(
+                Fraction(1, i * i) for i in range(1, n + 1)
+            )
 
-    def test_toggle_empties_both_tables(self):
-        set_memoization(True)
+    def test_clear_memos_empties_both_tables(self):
         harmonic(30)
         psi_factor(5, 0)
         binom_factor(2, 3)
-        assert factor_memo_info().size > 0
-        set_memoization(True)
+        assert factor_memo_info().size > 0 and len(special._cache) > 30
+        clear_memos()
         assert factor_memo_info() == (0, 0, 0)
         assert len(special._cache) == 1
 
@@ -83,6 +79,14 @@ class TestMemoization:
         assert cache.get(4, 1) == Fraction(25, 12)
         assert cache.get(4, 2) == 1 + Fraction(1, 4) + Fraction(1, 9) + Fraction(1, 16)
         assert len(cache) >= 5
+
+    def test_cache_holds_only_orders_one_and_two(self):
+        cache = HarmonicCache()
+        for r in (0, 3, -1):
+            with pytest.raises(ValueError):
+                cache.get(5, r)
+        # order 3 comes from the direct sum, not from the order-2 table
+        assert harmonic_gen(5, 3) == Fraction(256103, 216000)
 
 
 class TestBinomInt:
@@ -244,7 +248,7 @@ class TestDirectFactors:
 
 class TestFactorMemo:
     def test_a_repeated_sweep_adds_no_misses(self):
-        set_memoization(True)
+        clear_memos()
         verify_all(3, tags=["THM-2.11"])
         first = factor_memo_info()
         assert first.misses > 0 and first.size == first.misses
@@ -254,19 +258,28 @@ class TestFactorMemo:
         assert second.size == first.size
         assert second.hits > first.hits
 
-    def test_sweep_rows_agree_with_memoization_off(self):
-        try:
-            set_memoization(True)
-            on = _strip_timing(verify_all(8))
-            set_memoization(False)
-            off = _strip_timing(verify_all(8))
-            assert factor_memo_info() == (0, 0, 0)
-        finally:
-            set_memoization(True)
-        assert on == off
+    def test_sweep_rows_agree_with_memoization_off(self, monkeypatch):
+        # A warm sweep against each of its cells run alone on empty memos,
+        # which is what the cell would compute with no memo at all.
+        cells = []
+        real = catalog._run_batch
+
+        def recording(batch, oracle):
+            cells.extend(batch)
+            return real(batch, oracle)
+
+        verify_all(8)
+        monkeypatch.setattr(catalog, "_run_batch", recording)
+        warm = _strip_timing(verify_all(8))
+        assert len(cells) == len(warm) > 0
+        cold = []
+        for cell in cells:
+            clear_memos()
+            cold.append(dataclasses.replace(catalog._run_cell(*cell), elapsed_ns=0))
+        assert warm == cold
 
     def test_memoized_values_survive_a_full_sweep(self):
-        set_memoization(True)
+        clear_memos()
         args = [(a, b) for a in range(0, 10) for b in range(0, a + 1)]
         held = {ab: (psi_factor(*ab), psi1_factor(*ab)) for ab in args}
         verify_all(6)
