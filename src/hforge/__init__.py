@@ -6,7 +6,7 @@ The package is layered bottom-up:
     Rational numbers, dense univariate polynomials in s, and reduced
     rational functions with polynomial gcd.
 ``bivar``
-    Sparse bivariate polynomials in (x, s), unreduced bivariate
+    Dense bivariate polynomials in (x, s), unreduced bivariate
     fractions compared by cross-multiplication, and a factored-
     denominator accumulator for building large sums cheaply.
 ``special``

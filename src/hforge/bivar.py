@@ -1,14 +1,16 @@
-"""Sparse bivariate polynomials in (x, s) and unreduced bivariate fractions.
+"""Dense bivariate polynomials in (x, s) and unreduced bivariate fractions.
 
 ``BiPoly`` keeps every polynomial in content x primitive-part form (Knuth,
-TAOCP vol. 2, 4.6.1): a positive rational content times a dict from
-``(x_degree, s_degree)`` to coprime integers.  The form is unique, so
+TAOCP vol. 2, 4.6.1): a positive rational content, held as two ints, times
+a primitive integer part stored densely as a tuple of x-rows, row i the
+integer coefficients of x^i s^0, x^i s^1, ... .  The form is unique, so
 equality and hashing are exact and cheap, and arithmetic runs on integers;
-the rational coefficients are a derived, cached, read-only ``terms`` view.
-Products of integer parts whose smaller operand has at least
-``PACKED_MUL_MIN_TERMS`` terms run by Kronecker substitution: each part is
-packed into one Python int and a single big-int product does the
-convolution; smaller products run the schoolbook loop.
+the rational coefficients are a cached, read-only ``terms`` view.
+Products by ``s + j`` or ``x + 1`` are one shift-and-add pass over the
+rows; others run the schoolbook loop, or, when the smaller operand has at
+least ``PACKED_MUL_MIN_TERMS`` entries, Kronecker substitution: each part
+is packed into one Python int and one big-int product does the
+convolution.
 ``BiFrac`` is a quotient of two ``BiPoly`` values that is *never* reduced
 by a multivariate gcd; equality is decided by cross-multiplication
 (``a/b == c/d`` iff ``a*d == c*b``), with only cheap opportunistic
@@ -19,11 +21,11 @@ because the slots are wide enough that no digit carries (see
 ``BiFrac.__eq__``).
 
 ``FactoredFrac`` is the internal evaluation workhorse: a fraction whose
-denominator is kept as an insertion-ordered ``{factor: multiplicity}``
-dict, so that long summations can reuse shared factors such as ``s + j``
-and ``x + 1``, found by hash lookup, instead of letting cross-multiplied
-denominators grow quadratically.  It converts to ``BiFrac`` for
-comparison.
+denominator is kept as an insertion-ordered ``{key: multiplicity}`` dict:
+``s + j`` has the key ``j`` and ``x + 1`` the key ``X1``.  So long
+summations reuse shared factors, found by one int hash, instead of letting
+cross-multiplied denominators grow quadratically.  It converts to
+``BiFrac`` for comparison.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
+from itertools import chain, zip_longest
 from types import MappingProxyType
 from typing import Union
 
@@ -42,195 +45,304 @@ from .exact import (
     _as_fraction,
 )
 
-Key = tuple[int, int]  # (x degree, s degree)
-
-
-def _fgcd(a: Fraction, b: Fraction) -> Fraction:
-    """Positive gcd on rationals: gcd(a/b, c/d) generates the same Z-module."""
-    if not a:
-        return abs(b)
-    if not b:
-        return abs(a)
-    return Fraction(
-        math.gcd(a.numerator * b.denominator, b.numerator * a.denominator),
-        a.denominator * b.denominator,
-    )
+Key = tuple[int, int]  # (x degree, s degree) of a ``terms`` entry
+Rows = tuple[tuple[int, ...], ...]  # row i: coefficients of x^i s^0, x^i s^1, ...
 
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
-def _primitive(scale: Fraction, ints: dict[Key, int]) -> tuple[Fraction, dict[Key, int]]:
-    """Canonical (content, primitive part) of ``scale * ints``.
+# -- integer rows ----------------------------------------------------------
+#
+# A primitive part is a tuple of rows, each a tuple of ints with no trailing
+# zero (an absent x-degree is the empty row), the last row nonempty and the
+# gcd of all entries 1; the zero polynomial has no rows.
 
-    ``ints`` holds no zero coefficients; the content comes out positive.
-    """
-    if not ints:
-        return _ZERO, {}
-    g = math.gcd(*ints.values())
+
+def _trim(row) -> tuple[int, ...]:
+    """``row`` without its trailing zeros, as a tuple."""
+    if row and row[-1]:
+        return tuple(row)
+    end = len(row)
+    while end and not row[end - 1]:
+        end -= 1
+    return tuple(row[:end])
+
+
+def _lincomb(a, ma: int, b, mb: int) -> list[int]:
+    """``ma*a + mb*b`` for two rows of any lengths (not trimmed)."""
+    if len(a) < len(b):
+        a, ma, b, mb = b, mb, a, ma
+    out = [ma * u + mb * v for u, v in zip(a, b)]
+    out += a[len(b):] if ma == 1 else [ma * u for u in a[len(b):]]
+    return out
+
+
+def _neg(rows: Rows) -> Rows:
+    return tuple([tuple([-v for v in r]) for r in rows])
+
+
+def _canonical(n: int, d: int, rows) -> tuple[int, int, Rows]:
+    """(content numerator, denominator, primitive part) of ``n/d * rows``
+    for ``d > 0`` and rows of any ints, trailing zeros allowed."""
+    rows = [_trim(r) for r in rows]
+    while rows and not rows[-1]:
+        rows.pop()
+    if not rows or not n:
+        return 0, 1, ()
+    g = 0
+    for r in rows:
+        g = math.gcd(g, *r)
+        if g == 1:
+            break
+    if n < 0:  # a negative divisor makes the content positive
+        g = -g
     if g != 1:
-        ints = {k: v // g for k, v in ints.items()}
-        scale = scale * g
-    if scale < 0:
-        return -scale, {k: -v for k, v in ints.items()}
-    return scale, ints
+        n *= g
+        rows = [tuple([v // g for v in r]) for r in rows]
+    g = math.gcd(n, d)
+    return n // g, d // g, tuple(rows)
+
+
+def _cmul(na: int, da: int, nb: int, db: int) -> tuple[int, int]:
+    """``na/da * nb/db`` in lowest terms, for two fractions in lowest terms."""
+    g, h = math.gcd(na, db), math.gcd(nb, da)
+    return (na // g) * (nb // h), (da // h) * (db // g)
+
+
+def _dense(ints: list[tuple[Key, int]]) -> list[list[int]]:
+    """The sum of ``((i, j), c)`` pairs as rows (trailing zeros allowed)."""
+    width = 1 + max((j for (_, j), _ in ints), default=-1)
+    rows = [[0] * width for _ in range(1 + max((i for (i, _), _ in ints), default=-1))]
+    for (i, j), v in ints:
+        rows[i][j] += v
+    return rows
+
+
+# -- products by s + j and x + 1 -------------------------------------------
+
+X1 = "x + 1"  # the FactoredFrac key of the factor x + 1
+
+
+def times_linear(row, j: int) -> tuple[int, ...]:
+    """Coefficients of ``row * (s + j)``, lowest degree first."""
+    return (j * row[0], *[j * u + v for u, v in zip(row[1:], row)], row[-1]) if row else ()
+
+
+def _linear_key(rows: Rows):
+    """``(key, sign)`` of a primitive part that is ``sign * (s + j)`` or
+    ``sign * (x + 1)``, else None."""
+    if len(rows) == 1 and len(rows[0]) == 2 and rows[0][1] in (1, -1):
+        return rows[0][0] * rows[0][1], rows[0][1]
+    if rows in (((1,), (1,)), ((-1,), (-1,))):
+        return X1, rows[0][0]
+    return None
+
+
+def _times_key(rows: Rows, key) -> Rows:
+    """``rows`` times the linear factor with this key, in one pass."""
+    if key is not X1:
+        return tuple([times_linear(r, key) for r in rows])
+    # row i of the product is row i plus row i - 1
+    inner = [_trim(_lincomb(a, 1, b, 1)) for a, b in zip(rows[1:], rows)]
+    return (rows[0], *inner, rows[-1]) if rows else rows
 
 
 # -- Kronecker substitution ---------------------------------------------------
 #
-# A primitive part ``{(i, j): int}`` packs into one Python int: the
-# coefficient of x^i s^j goes, as a signed w-byte digit, into slot
-# ``i*stride + j``.  That is the polynomial evaluated at s = 2^(8w) and
-# x = 2^(8w*stride), a ring homomorphism, so one big-int product (CPython's
-# Karatsuba) computes the whole convolution (Harvey, "Faster polynomial
-# multiplication via multipoint Kronecker substitution", J. Symb. Comput.
-# 2009).  When stride exceeds the product's s-degree and every product
-# coefficient c has |c| < 2^(8w-1), the slots neither overlap nor carry,
-# and the balanced base-2^(8w) digits of the product are its coefficients.
+# A primitive part packs into one Python int: the coefficient of x^i s^j
+# goes, as a signed w-byte digit, into slot ``i*stride + j``.  That is the
+# polynomial evaluated at s = 2^(8w) and x = 2^(8w*stride), a ring
+# homomorphism, so one big-int product (CPython's Karatsuba) computes the
+# whole convolution (Harvey, "Faster polynomial multiplication via
+# multipoint Kronecker substitution", J. Symb. Comput. 2009).  When stride
+# exceeds the product's s-degree and every product coefficient c has
+# |c| < 2^(8w-1), the slots neither overlap nor carry, and the balanced
+# base-2^(8w) digits of the product are its coefficients.
 
-# A product whose smaller operand has fewer terms than this runs the
+# A product whose smaller operand has fewer entries than this runs the
 # schoolbook loop: there, packing and unpacking cost more than the
-# pairwise products they replace (measured over the catalog's products).
-PACKED_MUL_MIN_TERMS = 9
+# pairwise products they replace.  Over the catalog sweeps' products, the
+# schoolbook loop won at every size at n <= 15 (at most 16 entries), and
+# at n <= 25 the packed route won from 17 entries.
+PACKED_MUL_MIN_TERMS = 17
 
 
-def _slot_width(ta: dict[Key, int], tb: dict[Key, int]) -> int:
-    """Bytes per slot so that every coefficient c of ``ta * tb`` has
-    |c| < 2^(8w-1): each is a sum of at most min(len) pairwise products."""
+def _slot_width(ra: Rows, rb: Rows) -> int:
+    """Bytes per slot so that every coefficient c of ``ra * rb`` has
+    |c| < 2^(8w-1): each is a sum of at most min(size) pairwise products."""
     bound = (
-        max(map(abs, ta.values()))
-        * max(map(abs, tb.values()))
-        * min(len(ta), len(tb))
+        max(map(abs, chain.from_iterable(ra)))
+        * max(map(abs, chain.from_iterable(rb)))
+        * min(sum(map(len, ra)), sum(map(len, rb)))
     )
     return bound.bit_length() // 8 + 1
 
 
-def _pack(t: dict[Key, int], stride: int, w: int) -> int:
-    """``sum t[(i, j)] * 2^(8w*(i*stride + j))``; needs ``j < stride`` and
-    |t[k]| < 2^(8w) for every key.  The positive and the negative
-    coefficients fill one byte buffer each, and their difference is the
-    packed value."""
-    size = (max(i for i, _ in t) + 1) * stride * w
-    pos = bytearray(size)
-    neg = None
-    for (i, j), v in t.items():
-        at = (i * stride + j) * w
-        if v > 0:
-            pos[at:at + w] = v.to_bytes(w, "little")
-        else:
-            if neg is None:
-                neg = bytearray(size)
-            neg[at:at + w] = (-v).to_bytes(w, "little")
-    packed = int.from_bytes(pos, "little")
-    if neg is not None:
-        packed -= int.from_bytes(neg, "little")
-    return packed
+def _pack(rows: Rows, stride: int, w: int) -> int:
+    """``sum rows[i][j] * 2^(8w*(i*stride + j))`` for rows shorter than
+    ``stride`` and |entry| < 2^(8w).  Each row's value, by Horner's rule,
+    goes into one byte buffer if positive and into another if negative."""
+    shift, span = 8 * w, stride * w
+    pos, neg = bytearray(len(rows) * span), bytearray(len(rows) * span)
+    for at, row in zip(range(0, len(rows) * span, span), rows):
+        value = 0
+        for v in reversed(row):
+            value = (value << shift) + v
+        (neg if value < 0 else pos)[at:at + span] = abs(value).to_bytes(span, "little")
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
 
-def _unpack(packed: int, stride: int, w: int, rows: int) -> dict[Key, int]:
-    """The nonzero balanced digits of ``packed`` as ``{(i, j): int}``, for
-    a value of ``rows * stride`` digits that all satisfy |c| < 2^(8w-1)."""
-    slots = rows * stride
+def _unpack(packed: int, stride: int, w: int, nrows: int) -> Rows:
+    """The balanced digits of ``packed`` as ``nrows`` rows of ``stride``
+    slots, for a value whose digits all satisfy |c| < 2^(8w-1)."""
+    slots = nrows * stride
     half = int.from_bytes((bytes(w - 1) + b"\x80") * slots, "little")
     # Adding 2^(8w-1) to every slot makes each digit nonnegative without a
     # carry; flipping that bit back leaves each slot in two's complement.
     buf = ((packed + half) ^ half).to_bytes(slots * w, "little")
-    out: dict[Key, int] = {}
-    for i in range(rows):
-        at = i * stride * w
-        for j in range(stride):
-            v = int.from_bytes(buf[at:at + w], "little", signed=True)
-            if v:
-                out[(i, j)] = v
-            at += w
-    return out
+    span = stride * w
+    return tuple(_trim([int.from_bytes(buf[at:at + w], "little", signed=True)
+                        for at in range(start, start + span, w)])
+                 for start in range(0, slots * w, span))
 
 
-def _packed_mul(ta: dict[Key, int], tb: dict[Key, int]) -> dict[Key, int]:
-    """``ta * tb`` by one big-int product."""
-    rows = max(i for i, _ in ta) + max(i for i, _ in tb) + 1
-    stride = max(j for _, j in ta) + max(j for _, j in tb) + 1
-    w = _slot_width(ta, tb)
-    return _unpack(_pack(ta, stride, w) * _pack(tb, stride, w), stride, w, rows)
+def _packed_mul(ra: Rows, rb: Rows) -> Rows:
+    """``ra * rb`` by one big-int product."""
+    stride = max(map(len, ra)) + max(map(len, rb)) - 1
+    w = _slot_width(ra, rb)
+    packed = _pack(ra, stride, w) * _pack(rb, stride, w)
+    return _unpack(packed, stride, w, len(ra) + len(rb) - 1)
+
+
+def _conv(a, b) -> tuple[int, ...]:
+    """The product of two nonempty rows."""
+    out = [0] * (len(a) + len(b) - 1)
+    for j, v in enumerate(b):
+        if v:
+            for i, u in enumerate(a, j):
+                out[i] += u * v
+    return tuple(out)
+
+
+def _schoolbook(ra: Rows, rb: Rows) -> Rows:
+    """``ra * rb`` by pairwise products: row by row when one operand is one
+    row, else on one flat list of rows of the product's width."""
+    if len(ra) == 1:
+        ra, rb = rb, ra
+    if len(rb) == 1:
+        return tuple([_conv(a, rb[0]) if a else () for a in ra])
+    w = max(map(len, ra)) + max(map(len, rb)) - 1
+    tb = [(i * w + j, v) for i, row in enumerate(rb) for j, v in enumerate(row) if v]
+    out = [0] * ((len(ra) + len(rb) - 1) * w)
+    for i, row in enumerate(ra):
+        for at, u in enumerate(row, i * w):
+            if u:
+                for k, v in tb:
+                    out[at + k] += u * v
+    return tuple(_trim(out[at:at + w]) for at in range(0, len(out), w))
+
+
+def _rows_mul(ra: Rows, rb: Rows) -> Rows:
+    """The product of two nonzero primitive parts, primitive again by
+    Gauss's lemma."""
+    sa, sb = sum(map(len, ra)), sum(map(len, rb))  # stored entries
+    if sa < sb:
+        ra, rb, sb = rb, ra, sa
+    if sb == 1:  # a constant, or x^k: empty rows, then (1,) or (-1,)
+        return rb[:-1] + (ra if rb[-1][0] == 1 else _neg(ra))
+    linear = _linear_key(rb)
+    if linear:
+        out = _times_key(ra, linear[0])
+        return out if linear[1] == 1 else _neg(out)
+    if sb >= PACKED_MUL_MIN_TERMS:
+        return _packed_mul(ra, rb)
+    return _schoolbook(ra, rb)
+
+
+def _horner(coeffs, p: int, q: int) -> int:
+    """``sum c_i p^i q^(D-i)`` for coefficients c_0..c_D: q^D times the
+    value at p/q."""
+    acc, qk = 0, 1
+    for c in reversed(coeffs):
+        acc = acc * p + c * qk
+        qk *= q
+    return acc
+
+
+def _div_linear(coeffs, p: int, q: int) -> list[int] | None:
+    """Integer coefficients of ``c(t) / (q*t - p)``, or None if it is not
+    exact; by Gauss's lemma an exact quotient has integer coefficients."""
+    out, carry = [], 0
+    for c in coeffs[:0:-1]:
+        carry, r = divmod(c + p * carry, q)
+        if r:
+            return None
+        out.append(carry)
+    return None if coeffs and coeffs[0] + p * carry else out[::-1]
 
 
 class BiPoly:
-    """Sparse bivariate polynomial in content x primitive-part form.
+    """Dense bivariate polynomial in content x primitive-part form.
 
-    A nonzero polynomial is ``_c * sum _t[k] x^i s^j`` with ``_c`` a positive
-    ``Fraction`` and ``_t`` a ``{(i, j): int}`` dict of nonzero coprime
-    integers; the zero polynomial has ``_c == 0`` and ``_t == {}``.  The form
-    is unique, so equality and hashing work on it directly.  Products
-    convolve the integer parts and multiply the contents: by Gauss's lemma
-    the product of primitive polynomials is primitive, so no gcd is taken.
-    ``terms`` is a cached read-only view of the rational coefficients.
+    A nonzero polynomial is ``_n/_d * sum _r[i][j] x^i s^j``, ``_n/_d`` a
+    positive fraction in lowest terms and ``_r`` a primitive part (see
+    *integer rows*); zero has ``_n == 0, _d == 1`` and no rows.  By Gauss's
+    lemma a product of primitive parts is primitive, so products take no gcd.
     """
 
-    __slots__ = ("_c", "_t", "_terms", "_hash")
+    __slots__ = ("_n", "_d", "_r", "_terms", "_hash")
 
     def __init__(self, terms: Mapping[Key, Union[int, Fraction]] = ()):
-        clean: dict[Key, Fraction] = {}
         src = terms.items() if isinstance(terms, Mapping) else terms
-        for (ix, js), c in src:
-            c = _as_fraction(c)
-            if c:
-                k = (int(ix), int(js))
-                v = clean.get(k)
-                nv = c if v is None else v + c
-                if nv:
-                    clean[k] = nv
-                elif v is not None:
-                    del clean[k]
-        scale = math.lcm(*(c.denominator for c in clean.values()))
-        ints = {k: c.numerator * (scale // c.denominator) for k, c in clean.items()}
-        self._set(*_primitive(Fraction(1, scale), ints))
-
-    def _set(self, c: Fraction, t: dict[Key, int]) -> None:
-        self._c = c
-        self._t = t
-        self._terms = None
-        self._hash = None
+        fracs = [(k, _as_fraction(c)) for k, c in src]
+        scale = math.lcm(*(c.denominator for _, c in fracs))
+        ints = [(k, c.numerator * (scale // c.denominator)) for k, c in fracs]
+        self._n, self._d, self._r = _canonical(1, scale, _dense(ints))
+        self._terms = self._hash = None
 
     @classmethod
-    def _raw(cls, c: Fraction, t: dict[Key, int]) -> "BiPoly":
-        """Wrap a form that is already canonical: ``c > 0`` and ``t`` primitive."""
+    def _raw(cls, n: int, d: int, r: Rows) -> "BiPoly":
+        """Wrap a form that is already canonical."""
         out = cls.__new__(cls)
-        out._set(c, t)
+        out._n, out._d, out._r, out._terms, out._hash = n, d, r, None, None
         return out
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
+    def from_rows(cls, rows: Iterable, scale=1) -> "BiPoly":
+        """``scale * sum rows[i][j] x^i s^j`` for rows of ints."""
+        scale = _as_fraction(scale)
+        return cls._raw(*_canonical(scale.numerator, scale.denominator, rows))
+
+    @classmethod
     def from_ints(cls, ints: Mapping[Key, int], scale=1) -> "BiPoly":
         """``scale * sum ints[(i, j)] x^i s^j``; zero coefficients are dropped."""
-        scale = _as_fraction(scale)
-        if not scale:
-            return cls.zero()
-        return cls._raw(*_primitive(scale, {k: v for k, v in ints.items() if v}))
+        return cls.from_rows(_dense(list(ints.items())), scale)
 
     @classmethod
     def zero(cls) -> "BiPoly":
-        return cls._raw(_ZERO, {})
+        return cls._raw(0, 1, ())
 
     @classmethod
     def one(cls) -> "BiPoly":
-        return cls._raw(_ONE, {(0, 0): 1})
+        return cls._raw(1, 1, ((1,),))
 
     @classmethod
     def const(cls, c) -> "BiPoly":
         c = _as_fraction(c)
         if not c:
             return cls.zero()
-        return cls._raw(abs(c), {(0, 0): 1 if c > 0 else -1})
+        return cls._raw(abs(c.numerator), c.denominator, ((1 if c > 0 else -1,),))
 
     @classmethod
     def x(cls, e: int = 1) -> "BiPoly":
-        return cls._raw(_ONE, {(e, 0): 1})
+        return cls._raw(1, 1, ((),) * e + ((1,),))
 
     @classmethod
     def s(cls, e: int = 1) -> "BiPoly":
-        return cls._raw(_ONE, {(0, e): 1})
+        return cls._raw(1, 1, ((0,) * e + (1,),))
 
     @classmethod
     def from_s_poly(cls, p: Poly) -> "BiPoly":
@@ -245,43 +357,44 @@ class BiPoly:
     @property
     def terms(self) -> Mapping[Key, Fraction]:
         """Read-only ``{(x_degree, s_degree): Fraction}`` of the nonzero
-        coefficients, derived from the content and the integer part."""
+        coefficients, derived from the content and the integer rows."""
         if self._terms is None:
-            c = self._c
-            self._terms = {k: c * v for k, v in self._t.items()}
+            n, d = self._n, self._d
+            self._terms = {(i, j): Fraction(n * v, d)
+                           for i, r in enumerate(self._r) for j, v in enumerate(r) if v}
         return MappingProxyType(self._terms)
 
     def is_zero(self) -> bool:
-        return not self._t
+        return not self._r
 
     def is_constant(self) -> bool:
-        t = self._t
-        return not t or (len(t) == 1 and (0, 0) in t)
+        r = self._r
+        return not r or (len(r) == 1 and len(r[0]) == 1)
 
     def as_constant(self) -> Fraction:
-        if not self._t:
+        if not self._r:
             return _ZERO
         if self.is_constant():
-            return self._c * self._t[(0, 0)]
+            return Fraction(self._n * self._r[0][0], self._d)
         raise ValueError("not a constant")
 
     @property
     def deg_x(self) -> int:
-        return max((k[0] for k in self._t), default=-1)
+        return len(self._r) - 1
 
     @property
     def deg_s(self) -> int:
-        return max((k[1] for k in self._t), default=-1)
+        return max(map(len, self._r), default=0) - 1
 
     def min_x(self) -> int:
-        return min((k[0] for k in self._t), default=0)
+        return next((i for i, r in enumerate(self._r) if r), 0)
 
     def min_s(self) -> int:
-        return min((k[1] for k in self._t), default=0)
+        return min((len(r) - len(_trim(r[::-1])) for r in self._r if r), default=0)
 
     def content(self) -> Fraction:
         """Positive generator of the coefficients' Z-module (0 for zero)."""
-        return self._c
+        return Fraction(self._n, self._d)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -296,42 +409,23 @@ class BiPoly:
         o = self._promote(other)
         if o is None:
             return NotImplemented
-        if not self._t:
+        if not self._r:
             return o
-        if not o._t:
+        if not o._r:
             return self
-        ca, cb = self._c, o._c
-        if ca == cb:
-            scale, ma, mb = ca, 1, 1
-        else:
-            # ca*ta + cb*tb = (ma*ta + mb*tb) * h/L over the common denominator L
-            da, db = ca.denominator, cb.denominator
-            lcd = da // math.gcd(da, db) * db
-            ma = ca.numerator * (lcd // da)
-            mb = cb.numerator * (lcd // db)
-            h = math.gcd(ma, mb)
-            ma //= h
-            mb //= h
-            scale = Fraction(h, lcd)
-        out = dict(self._t) if ma == 1 else {k: ma * v for k, v in self._t.items()}
-        for k, v in o._t.items():
-            if mb != 1:
-                v *= mb
-            w = out.get(k)
-            if w is None:
-                out[k] = v
-            else:
-                w += v
-                if w:
-                    out[k] = w
-                else:
-                    del out[k]
-        return BiPoly._raw(*_primitive(scale, out))
+        # na/da*A + nb/db*B = (ma*A + mb*B) * n/d over the common denominator d
+        na, da, nb, db = self._n, self._d, o._n, o._d
+        d = da // math.gcd(da, db) * db
+        n = math.gcd(na * (d // da), nb * (d // db))
+        ma, mb = na * (d // da) // n, nb * (d // db) // n
+        pairs = zip_longest(self._r, o._r, fillvalue=())
+        rows = [_lincomb(a, ma, b, mb) for a, b in pairs]
+        return BiPoly._raw(*_canonical(n, d, rows))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return BiPoly._raw(self._c, {k: -v for k, v in self._t.items()})
+        return BiPoly._raw(self._n, self._d, _neg(self._r))
 
     def __sub__(self, other):
         o = self._promote(other)
@@ -346,38 +440,22 @@ class BiPoly:
         return o + (-self)
 
     def scale(self, c) -> "BiPoly":
-        c = _as_fraction(c)
-        if not c:
+        cn, cd = _as_fraction(c).as_integer_ratio() if type(c) is not int else (c, 1)
+        if not cn:
             return BiPoly.zero()
-        if c == 1 or not self._t:
+        if (cn == 1 and cd == 1) or not self._r:
             return self
-        if c > 0:
-            return BiPoly._raw(self._c * c, self._t)
-        return BiPoly._raw(self._c * -c, {k: -v for k, v in self._t.items()})
+        n, d = _cmul(self._n, self._d, cn, cd)
+        return BiPoly._raw(abs(n), d, _neg(self._r) if n < 0 else self._r)
 
     def __mul__(self, other):
         o = self._promote(other)
         if o is None:
             return NotImplemented
-        ta, tb = self._t, o._t
-        if not ta or not tb:
+        if not self._r or not o._r:
             return BiPoly.zero()
-        if o.is_constant():
-            return self.scale(o.as_constant())
-        if self.is_constant():
-            return o.scale(self.as_constant())
-        if len(ta) < len(tb):
-            ta, tb = tb, ta
-        if len(tb) >= PACKED_MUL_MIN_TERMS:
-            return BiPoly._raw(self._c * o._c, _packed_mul(ta, tb))
-        out: dict[Key, int] = {}
-        items_b = list(tb.items())
-        for (xa, sa), va in ta.items():
-            for (xb, sb), vb in items_b:
-                k = (xa + xb, sa + sb)
-                v = out.get(k)
-                out[k] = va * vb if v is None else v + va * vb
-        return BiPoly._raw(self._c * o._c, {k: v for k, v in out.items() if v})
+        n, d = _cmul(self._n, self._d, o._n, o._d)
+        return BiPoly._raw(n, d, _rows_mul(self._r, o._r))
 
     __rmul__ = __mul__
 
@@ -396,145 +474,60 @@ class BiPoly:
 
     # -- evaluation / substitution ----------------------------------------
 
+    def _swapped(self) -> "BiPoly":
+        """The polynomial with x and s exchanged."""
+        return BiPoly._raw(*_canonical(self._n, self._d, zip_longest(*self._r, fillvalue=0)))
+
     def eval_x(self, x0) -> "BiPoly":
         """Collapse the x variable at a rational point; result is s-only."""
-        x0 = _as_fraction(x0)
-        powers: dict[int, Fraction] = {}
-        out: dict[Key, Fraction] = {}
-        for (ix, js), c in self.terms.items():
-            p = powers.get(ix)
-            if p is None:
-                p = x0 ** ix
-                powers[ix] = p
-            k = (0, js)
-            v = out.get(k)
-            nv = c * p if v is None else v + c * p
-            if nv:
-                out[k] = nv
-            elif v is not None:
-                del out[k]
-        return BiPoly(out)
+        return self._swapped().eval_s(x0)._swapped()
 
     def eval_s(self, s0) -> "BiPoly":
+        if not self._r:
+            return self
         s0 = _as_fraction(s0)
-        powers: dict[int, Fraction] = {}
-        out: dict[Key, Fraction] = {}
-        for (ix, js), c in self.terms.items():
-            p = powers.get(js)
-            if p is None:
-                p = s0 ** js
-                powers[js] = p
-            k = (ix, 0)
-            v = out.get(k)
-            nv = c * p if v is None else v + c * p
-            if nv:
-                out[k] = nv
-            elif v is not None:
-                del out[k]
-        return BiPoly(out)
+        p, q = s0.numerator, s0.denominator
+        top = self.deg_s + 1
+        col = [(_horner(r + (0,) * (top - len(r)), p, q),) for r in self._r]
+        return BiPoly._raw(*_canonical(self._n, self._d * q ** (top - 1), col))
 
     def eval(self, s0, x0) -> Fraction:
-        v = self.eval_x(x0).eval_s(s0)
-        return v.as_constant()
+        return self.eval_x(x0).eval_s(s0).as_constant()
 
     def synth_div_x(self, x0) -> "BiPoly":
         """Exact division by ``x - x0``; raises if the remainder is nonzero."""
-        x0 = _as_fraction(x0)
-        cols: dict[int, dict[int, Fraction]] = {}
-        for (ix, js), c in self.terms.items():
-            cols.setdefault(ix, {})[js] = c
-        d = max(cols, default=-1)
-        out: dict[Key, Fraction] = {}
-        carry: dict[int, Fraction] = {}
-        for i in range(d, 0, -1):
-            col = cols.get(i, {})
-            q: dict[int, Fraction] = dict(carry)
-            for js, c in col.items():
-                v = q.get(js)
-                nv = c if v is None else v + c
-                if nv:
-                    q[js] = nv
-                elif v is not None:
-                    del q[js]
-            for js, c in q.items():
-                out[(i - 1, js)] = c
-            carry = {js: c * x0 for js, c in q.items()}
-        rem = dict(carry)
-        for js, c in cols.get(0, {}).items():
-            v = rem.get(js)
-            nv = c if v is None else v + c
-            if nv:
-                rem[js] = nv
-            elif v is not None:
-                del rem[js]
-        if rem:
-            raise ValueError("inexact division by linear x factor")
-        return BiPoly(out)
+        return self._swapped().synth_div_s(x0)._swapped()
 
     def synth_div_s(self, s0) -> "BiPoly":
         """Exact division by ``s - s0``; raises if the remainder is nonzero."""
         s0 = _as_fraction(s0)
-        cols: dict[int, dict[int, Fraction]] = {}
-        for (ix, js), c in self.terms.items():
-            cols.setdefault(js, {})[ix] = c
-        d = max(cols, default=-1)
-        out: dict[Key, Fraction] = {}
-        carry: dict[int, Fraction] = {}
-        for j in range(d, 0, -1):
-            col = cols.get(j, {})
-            q: dict[int, Fraction] = dict(carry)
-            for ix, c in col.items():
-                v = q.get(ix)
-                nv = c if v is None else v + c
-                if nv:
-                    q[ix] = nv
-                elif v is not None:
-                    del q[ix]
-            for ix, c in q.items():
-                out[(ix, j - 1)] = c
-            carry = {ix: c * s0 for ix, c in q.items()}
-        rem = dict(carry)
-        for ix, c in cols.get(0, {}).items():
-            v = rem.get(ix)
-            nv = c if v is None else v + c
-            if nv:
-                rem[ix] = nv
-            elif v is not None:
-                del rem[ix]
-        if rem:
-            raise ValueError("inexact division by linear s factor")
-        return BiPoly(out)
+        p, q = s0.numerator, s0.denominator
+        rows = [_div_linear(r, p, q) for r in self._r]
+        if None in rows:
+            raise ValueError("inexact division by a linear factor")
+        return BiPoly._raw(*_canonical(self._n * q, self._d, rows))
 
     def shift_down(self, dx: int, ds: int) -> "BiPoly":
         """Exact division by the monomial ``x^dx * s^ds``."""
         if not dx and not ds:
             return self
-        return BiPoly._raw(
-            self._c, {(ix - dx, js - ds): v for (ix, js), v in self._t.items()}
-        )
+        return BiPoly._raw(self._n, self._d, tuple(r[ds:] for r in self._r[dx:]))
 
     def deriv_s(self) -> "BiPoly":
-        return BiPoly._raw(
-            *_primitive(
-                self._c, {(ix, js - 1): v * js for (ix, js), v in self._t.items() if js}
-            )
-        )
+        rows = [[j * v for j, v in enumerate(r)][1:] for r in self._r]
+        return BiPoly._raw(*_canonical(self._n, self._d, rows))
 
     def to_s_poly(self) -> Poly:
         if self.deg_x > 0:
             raise ValueError("not univariate in s")
-        coeffs = [Fraction(0)] * (self.deg_s + 1)
-        for (_, js), c in self.terms.items():
-            coeffs[js] = c
-        return Poly(coeffs)
+        n, d = self._n, self._d
+        return Poly([Fraction(n * v, d) for r in self._r for v in r])
 
     def to_x_poly(self) -> Poly:
         if self.deg_s > 0:
             raise ValueError("not univariate in x")
-        coeffs = [Fraction(0)] * (self.deg_x + 1)
-        for (ix, _), c in self.terms.items():
-            coeffs[ix] = c
-        return Poly(coeffs)
+        n, d = self._n, self._d
+        return Poly([Fraction(n * r[0], d) if r else _ZERO for r in self._r])
 
     # -- comparison / display ---------------------------------------------
 
@@ -542,11 +535,11 @@ class BiPoly:
         o = self._promote(other)
         if o is None:
             return NotImplemented
-        return self._t == o._t and self._c == o._c
+        return self._r == o._r and self._n == o._n and self._d == o._d
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self._c, frozenset(self._t.items())))
+            self._hash = hash((self._n, self._d, self._r))
         return self._hash
 
     def __str__(self):
@@ -598,20 +591,18 @@ class BiFrac:
         if num.is_zero():
             self.num, self.den = BiPoly.zero(), BiPoly.one()
             return
-        g = _fgcd(num._c, den._c)
         mx = min(num.min_x(), den.min_x())
         ms = min(num.min_s(), den.min_s())
-        lead_key = max(den._t, key=lambda k: (k[0] + k[1], k[0], k[1]))
-        if den._t[lead_key] < 0:
-            g = -g
-        if g != 1:
-            inv = 1 / g
-            num = num.scale(inv)
-            den = den.scale(inv)
-        if mx or ms:
-            num = num.shift_down(mx, ms)
-            den = den.shift_down(mx, ms)
-        self.num, self.den = num, den
+        # dividing both by the gcd of the contents leaves coprime integers
+        cn, cd = num._n * den._d, den._n * num._d
+        g = math.gcd(cn, cd)
+        rn, rd = num._r, den._r
+        # the leading term by total degree, then x-degree, is made positive
+        _, lead_row = max((i + len(r), i) for i, r in enumerate(rd) if r)
+        if rd[lead_row][-1] < 0:
+            rn, rd = _neg(rn), _neg(rd)
+        self.num = BiPoly._raw(cn // g, 1, rn).shift_down(mx, ms)
+        self.den = BiPoly._raw(cd // g, 1, rd).shift_down(mx, ms)
 
     @staticmethod
     def _coerce(v) -> BiPoly:
@@ -792,10 +783,10 @@ class BiFrac:
             return self.num == o.num
         # a zero numerator has content 0; two zeros both have den 1
         a, d, c, b = self.num, o.den, o.num, self.den
-        if a._c * d._c != c._c * b._c:
+        if a._n * d._n * c._d * b._d != c._n * b._n * a._d * d._d:
             return False
-        A, D, C, B = a._t, d._t, c._t, b._t
-        deg_s = [max(j for _, j in t) for t in (A, D, C, B)]
+        A, D, C, B = a._r, d._r, c._r, b._r
+        deg_s = [t.deg_s for t in (a, d, c, b)]
         if deg_s[0] + deg_s[1] != deg_s[2] + deg_s[3]:
             return False
         stride = deg_s[0] + deg_s[1] + 1
@@ -815,10 +806,10 @@ class BiFrac:
         like the equal ``Fraction``.
         """
         num, den = self.num, self.den
-        if not num._t:
+        if not num._r:
             return hash(0)
-        kn, kd = max(num._t), max(den._t)
-        ratio = num._c * num._t[kn] / (den._c * den._t[kd])
+        kn, kd = (num.deg_x, len(num._r[-1]) - 1), (den.deg_x, len(den._r[-1]) - 1)
+        ratio = Fraction(num._n * num._r[-1][-1] * den._d, num._d * den._n * den._r[-1][-1])
         shape = (kn[0] - kd[0], kn[1] - kd[1], num.deg_s - den.deg_s)
         return hash(ratio) if shape == (0, 0, 0) else hash((shape, ratio))
 
@@ -846,20 +837,46 @@ def cross_difference(a: BiFrac, b: BiFrac) -> BiPoly:
     return a.num * b.den - b.num * a.den
 
 
-class FactoredFrac:
-    """Fraction whose denominator is kept as ``{factor: multiplicity}``.
+def _factor(key) -> BiPoly:
+    """The factor a ``FactoredFrac`` key stands for."""
+    rows = ((1,), (1,)) if key is X1 else ((key, 1),)
+    return key if type(key) is BiPoly else BiPoly._raw(1, 1, rows)
 
-    ``den`` maps each nonconstant ``BiPoly`` factor to a positive
-    multiplicity, in order of first appearance.  Factors are matched by
-    hash lookup, so equal factors built separately share one key.
+
+def _times_factor(p: BiPoly, key, m: int) -> BiPoly:
+    """``p * factor(key)^m``: m shift-and-add passes for a linear key, a
+    product for any other."""
+    if type(key) is BiPoly:
+        return p * key ** m
+    rows = p._r
+    for _ in range(m):
+        rows = _times_key(rows, key)
+    return BiPoly._raw(p._n, p._d, rows)
+
+
+def _times_factors(p: BiPoly, factors: Mapping) -> BiPoly:
+    for key, m in factors.items():
+        p = _times_factor(p, key, m)
+    return p
+
+
+class FactoredFrac:
+    """Fraction whose denominator is kept as ``{key: multiplicity}``.
+
+    ``_f`` maps the key of each nonconstant factor to a positive
+    multiplicity, in order of first appearance: the int ``j`` for
+    ``s + j``, ``X1`` for ``x + 1``, and the primitive part for any other
+    factor (the catalog and the corpus make none).  A factor's rational
+    multiple of its key goes to the numerator, so equal factors built
+    separately share one key.
     Addition builds the factorwise least common denominator, so repeated
     sums over ``1/(s+j)``- and ``1/(x+1)``-style terms never cross-multiply
     full denominators.  Purely an evaluation intermediate: comparisons go
     through :meth:`to_bifrac`.  Values are shared (the factor memo hands
-    out one object to every caller), so ``den`` is never mutated.
+    out one object to every caller), so ``_f`` is never mutated.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "_f")
 
     def __init__(
         self,
@@ -867,9 +884,9 @@ class FactoredFrac:
         den: Mapping[BiPoly, int] | Iterable[tuple[BiPoly, int]] = (),
     ):
         if num.is_zero():
-            self.num, self.den = BiPoly.zero(), {}
+            self.num, self._f = BiPoly.zero(), {}
             return
-        clean: dict[BiPoly, int] = {}
+        clean: dict = {}
         for f, m in den.items() if isinstance(den, Mapping) else den:
             m = int(m)
             if m <= 0:
@@ -879,17 +896,18 @@ class FactoredFrac:
             if f.is_constant():
                 num = num.scale(f.as_constant() ** -m)
                 continue
-            clean[f] = clean.get(f, 0) + m
-        self.num, self.den = num, clean
+            # f = c * key, with c moved to the numerator
+            linear = _linear_key(f._r)
+            sign, key = (linear[1], linear[0]) if linear else (1, BiPoly._raw(1, 1, f._r))
+            num = num.scale(Fraction(sign * f._n, f._d) ** -m)
+            clean[key] = clean.get(key, 0) + m
+        self.num, self._f = num, clean
 
     @classmethod
-    def _raw(cls, num: BiPoly, den: dict[BiPoly, int]) -> "FactoredFrac":
-        """Wrap ``den`` as is: nonconstant factors, positive multiplicities."""
+    def _raw(cls, num: BiPoly, factors: dict) -> "FactoredFrac":
+        """Wrap ``factors`` as is: keys with positive multiplicities."""
         out = cls.__new__(cls)
-        if num.is_zero():
-            out.num, out.den = BiPoly.zero(), {}
-        else:
-            out.num, out.den = num, den
+        out.num, out._f = num, factors if num._r else {}
         return out
 
     # -- constructors ------------------------------------------------------
@@ -907,6 +925,11 @@ class FactoredFrac:
         return cls(BiPoly.s())
 
     @classmethod
+    def over_shifts(cls, num: BiPoly, shifts: Mapping[int, int]) -> "FactoredFrac":
+        """``num / prod_j (s + j)^shifts[j]``, for positive multiplicities."""
+        return cls._raw(num, dict(shifts))
+
+    @classmethod
     def from_ratfunc(
         cls, rf: RatFunc, linear_roots: Iterable[tuple[int, int]] | None = None
     ) -> "FactoredFrac":
@@ -921,24 +944,26 @@ class FactoredFrac:
             return cls(num)
         if linear_roots is None:
             return cls(num, ((BiPoly.from_s_poly(rf.den), 1),))
-        den = rf.den
-        factors = []
-        for j, m in linear_roots:
-            lin = Poly.linear(j)
+        den, roots = rf.den, list(linear_roots)
+        for j, m in roots:
             for _ in range(m):
-                den = den.div_exact(lin)
-            factors.append((BiPoly.from_s_poly(lin), m))
+                den = den.div_exact(Poly.linear(j))
         if not den.is_one():
             raise ValueError("denominator not exhausted by the declared roots")
-        return cls(num, factors)
+        return cls(num, [(BiPoly.s() + j, m) for j, m in roots])
 
     # -- queries -----------------------------------------------------------
+
+    @property
+    def den(self) -> dict[BiPoly, int]:
+        """The denominator as ``{factor: multiplicity}``, in key order."""
+        return {_factor(k): m for k, m in self._f.items()}
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
     def is_constant(self) -> bool:
-        return self.num.is_constant() and not self.den
+        return self.num.is_constant() and not self._f
 
     def as_constant(self) -> Fraction:
         if not self.is_constant():
@@ -967,26 +992,28 @@ class FactoredFrac:
             return o
         if o.num.is_zero():
             return self
-        da, db = self.den, o.den
+        da, db = self._f, o._f
+        if da == db:
+            return FactoredFrac._raw(self.num + o.num, da)
         merged = dict(da)
-        for f, m in db.items():
-            if m > merged.get(f, 0):
-                merged[f] = m
+        for k, m in db.items():
+            if m > merged.get(k, 0):
+                merged[k] = m
         num_a = self.num
         num_b = o.num
-        for f, m in merged.items():
-            deficit = m - da.get(f, 0)
+        for k, m in merged.items():
+            deficit = m - da.get(k, 0)
             if deficit:
-                num_a = num_a * f ** deficit
-            deficit = m - db.get(f, 0)
+                num_a = _times_factor(num_a, k, deficit)
+            deficit = m - db.get(k, 0)
             if deficit:
-                num_b = num_b * f ** deficit
+                num_b = _times_factor(num_b, k, deficit)
         return FactoredFrac._raw(num_a + num_b, merged)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FactoredFrac._raw(-self.num, self.den)
+        return FactoredFrac._raw(-self.num, self._f)
 
     def __sub__(self, other):
         o = self._promote(other)
@@ -1001,42 +1028,27 @@ class FactoredFrac:
         return o + (-self)
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return FactoredFrac._raw(self.num.scale(other), self._f)
         o = self._promote(other)
         if o is None:
             return NotImplemented
         if self.num.is_zero() or o.num.is_zero():
             return FactoredFrac(BiPoly.zero())
-        merged = dict(self.den)
-        for f, m in o.den.items():
-            merged[f] = merged.get(f, 0) + m
+        merged = dict(self._f)
+        for k, m in o._f.items():
+            merged[k] = merged.get(k, 0) + m
         return FactoredFrac._raw(self.num * o.num, merged)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "FactoredFrac":
-        if self.num.is_zero():
-            raise ZeroDenominatorError("inverse of zero")
-        new_num = BiPoly.one()
-        for f, m in self.den.items():
-            new_num = new_num * f ** m
         num = self.num
-        if num.is_constant():
-            return FactoredFrac(new_num.scale(1 / num.as_constant()))
-        c = num.content()
-        prim = num.scale(1 / c)
-        mx, ms = prim.min_x(), prim.min_s()
-        factors: list[tuple[BiPoly, int]] = []
-        if mx or ms:
-            prim = prim.shift_down(mx, ms)
-            if mx:
-                factors.append((BiPoly.x(), mx))
-            if ms:
-                factors.append((BiPoly.s(), ms))
-        if not prim.is_constant():
-            factors.append((prim, 1))
-        else:
-            c = c * prim.as_constant()
-        return FactoredFrac(new_num.scale(1 / c), factors)
+        if num.is_zero():
+            raise ZeroDenominatorError("inverse of zero")
+        mx, ms = num.min_x(), num.min_s()
+        factors = [(BiPoly.x(), mx), (BiPoly.s(), ms), (num.shift_down(mx, ms), 1)]
+        return FactoredFrac(_times_factors(BiPoly.one(), self._f), factors)
 
     def __truediv__(self, other):
         o = self._promote(other)
@@ -1058,19 +1070,16 @@ class FactoredFrac:
         if e == 0:
             return FactoredFrac(BiPoly.one())
         return FactoredFrac._raw(
-            self.num ** e, {f: m * e for f, m in self.den.items()}
+            self.num ** e, {k: m * e for k, m in self._f.items()}
         )
 
     # -- conversion --------------------------------------------------------
 
     def to_bifrac(self) -> BiFrac:
-        den = BiPoly.one()
-        for f, m in self.den.items():
-            den = den * f ** m
-        return BiFrac(self.num, den)
+        return BiFrac(self.num, _times_factors(BiPoly.one(), self._f))
 
     def __str__(self):
-        if not self.den:
+        if not self._f:
             return str(self.num)
         dens = " * ".join(
             f"({f})" if m == 1 else f"({f})^{m}" for f, m in self.den.items()

@@ -22,6 +22,7 @@ import click
 from . import __version__, dsl
 # ``verify`` stays importable here for perfbench/spans.py, which looks it up.
 from .catalog import IdentityEntry, catalog, verify, verify_all  # noqa: F401
+from .dsl.compiled import compiled
 from .exact import PoleError
 from .oracle import ORACLE_MODES
 from .report import Report
@@ -348,7 +349,8 @@ def bench_cmd(ids, n_min, n_max, workers_text, fmt, output):
     worker count; CSV header id,n,workers,nanos.
 
     Every sweep starts cold: the memos are emptied (``clear_memos``)
-    before it.  A cell's nanos are measured inside the cell.  After the
+    before it, and the sides are compiled once before the first.  A
+    cell's nanos are measured inside the cell.  After the
     cells of each worker count comes one record with id ``sweep`` and
     n = n-max whose nanos are the wall-clock time of the whole sweep, pool
     start-up included, so the worker counts can be compared by it."""
@@ -365,7 +367,10 @@ def bench_cmd(ids, n_min, n_max, workers_text, fmt, output):
             raise click.UsageError("--workers values must be >= 1")
     if n_min < 1 or n_min > n_max:
         raise click.UsageError("need 1 <= n-min <= n-max")
-    tags = [e.tag for e in _resolve_entries(ids)] if ids else None
+    entries = _resolve_entries(ids) if ids else catalog()
+    tags = [e.tag for e in entries] if ids else None
+    for side in (s for e in entries for s in (e.lhs, e.rhs, *e.rhs_variants.values())):
+        compiled(side.ast)
     records = []
     for w in worker_counts:
         clear_memos()

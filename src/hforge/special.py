@@ -35,7 +35,7 @@ import threading
 from fractions import Fraction
 from typing import NamedTuple
 
-from .bivar import BiPoly, FactoredFrac
+from .bivar import BiPoly, FactoredFrac, times_linear
 from .exact import Poly, RatFunc
 
 
@@ -162,38 +162,24 @@ def psi1_factor(a: int, b: int) -> FactoredFrac:
 
 def _binom_factor_build(shift: int, k: int) -> FactoredFrac:
     """prod_{j=1..k} (s+shift-k+j) / k!, multiplied out in integers."""
-    num = [1]
+    num = (1,)
     for j in range(1, k + 1):
-        num = _times_linear(num, shift - k + j)
-    return FactoredFrac(_s_poly(num, Fraction(1, math.factorial(k))))
+        num = times_linear(num, shift - k + j)
+    return FactoredFrac(BiPoly.from_rows((num,), Fraction(1, math.factorial(k))))
 
 
 def _psi_factor_build(a: int, b: int, m: int) -> FactoredFrac:
     """sign * sum_{j=b}^{a-1} 1/(s+j)^m, sign -1 for m == 2, in factored form."""
-    num, den = [0], [1]  # integer coefficients in s, lowest degree first
+    num, den = (0,), (1,)  # integer coefficients in s, lowest degree first
     for j in range(b, a):
         # num/den + 1/(s+j)^m = (num*(s+j)^m + den) / (den*(s+j)^m)
         for _ in range(m):
-            num = _times_linear(num, j)
-        for i, c in enumerate(den):
-            num[i] += c
+            num = times_linear(num, j)
+        num = tuple(u + v for u, v in zip(num, den + (0,) * m))
         for _ in range(m):
-            den = _times_linear(den, j)
-    factors = {_s_poly([j, 1]): m for j in range(b, a)}
-    return FactoredFrac(_s_poly(num, -1 if m == 2 else 1), factors)
-
-
-def _s_poly(coeffs: list[int], scale=1) -> BiPoly:
-    """scale * sum_i coeffs[i] s^i as a BiPoly."""
-    return BiPoly.from_ints({(0, i): c for i, c in enumerate(coeffs)}, scale)
-
-
-def _times_linear(coeffs: list[int], j: int) -> list[int]:
-    """Coefficients of p(s) * (s + j), lowest degree first."""
-    out = [j * c for c in coeffs] + [0]
-    for i, c in enumerate(coeffs):
-        out[i + 1] += c
-    return out
+            den = times_linear(den, j)
+    num = BiPoly.from_rows((num,), -1 if m == 2 else 1)
+    return FactoredFrac.over_shifts(num, {j: m for j in range(b, a)})
 
 
 _binom_factor_memo = functools.lru_cache(maxsize=None)(_binom_factor_build)

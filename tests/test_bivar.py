@@ -20,6 +20,7 @@ from hforge.bivar import (
     ffsum,
 )
 from hforge.exact import PoleError, Poly, RatFunc, ZeroDenominatorError
+from hforge.special import psi_factor
 
 keys = st.tuples(st.integers(0, 3), st.integers(0, 3))
 coeffs = st.fractions(min_value=-6, max_value=6, max_denominator=4)
@@ -299,11 +300,13 @@ def ref_deriv_s(a: Ref) -> Ref:
 
 def assert_canonical(p: BiPoly) -> None:
     if p.is_zero():
-        assert p._c == 0 and p._t == {}
+        assert (p._n, p._d, p._r) == (0, 1, ())
         return
-    assert isinstance(p._c, Fraction) and p._c > 0
-    assert all(type(v) is int and v for v in p._t.values())
-    assert math.gcd(*p._t.values()) == 1
+    assert p._n > 0 and p._d > 0 and math.gcd(p._n, p._d) == 1
+    assert type(p._r) is tuple and all(type(r) is tuple for r in p._r)
+    assert all(type(v) is int for r in p._r for v in r)
+    assert p._r[-1] and all(not r or r[-1] for r in p._r)  # no trailing zeros
+    assert math.gcd(*(v for r in p._r for v in r)) == 1
 
 
 def assert_matches(p: BiPoly, ref: Ref) -> None:
@@ -355,12 +358,12 @@ def test_content_and_primitive_part_are_unique():
     assert hash(half) == hash(BiPoly.const(Fraction(1, 2)))
     p = BiPoly({(1, 0): Fraction(-4, 3), (0, 2): Fraction(2, 9)})
     assert p.content() == Fraction(2, 9)
-    assert p._t == {(1, 0): -6, (0, 2): 1}
+    assert p._r == ((0, 0, 1), (-6,))
     assert p == BiPoly.from_ints({(1, 0): -12, (0, 2): 2, (3, 3): 0}, Fraction(1, 9))
     assert BiPoly.from_ints({(0, 0): 5}, 0).is_zero()
     # sums that cancel to a multiple of two keep a primitive part
     twice_x = (BiPoly.x() + 1) + (BiPoly.x() - 1)
-    assert twice_x._t == {(1, 0): 1} and twice_x.content() == 2
+    assert twice_x._r == ((), (1,)) and twice_x.content() == 2
 
 
 def test_terms_is_a_read_only_view():
@@ -432,6 +435,25 @@ class TestKeyedDenominator:
         h = FactoredFrac(BiPoly.x(), [(s1, 1)]) * f
         assert [str(k) for k in h.den] == ["s + 1", "s + 2", "x + 1"]
 
+    def test_linear_factors_land_on_one_int_or_marker_key(self):
+        s3 = BiPoly.s() + 3
+        routes = [
+            psi_factor(4, 3),  # 1/(s+3), built with an int key
+            FactoredFrac(s3).inverse(),
+            FactoredFrac(-s3).inverse(),
+            FactoredFrac(BiPoly.one(), [(s3, 1)]),
+            FactoredFrac(BiPoly.one(), [(s3.scale(2), 1)]),
+            FactoredFrac(BiPoly.one(), [(BiPoly.from_s_poly(Poly.linear(3)), 1)]),
+            (FactoredFrac.var_s() + 3).inverse(),
+        ]
+        assert [list(f._f.items()) for f in routes] == [[(3, 1)]] * len(routes)
+        total = ffsum(routes)
+        assert list(total._f.items()) == [(3, 1)]
+        assert bifrac_eq(total.to_bifrac(), BiFrac(BiPoly.const(Fraction(9, 2)), s3))
+        x1 = FactoredFrac(BiPoly.x() + 1).inverse() * FactoredFrac(BiPoly.one(), [(s3, 2)])
+        assert list(x1._f.items()) == [(bivar.X1, 1), (3, 2)]
+        assert list(x1.den.items()) == [(BiPoly.x() + 1, 1), (s3, 2)]
+
 
 # -- the packed (Kronecker) product and comparison against the references ---
 
@@ -487,21 +509,39 @@ def test_the_product_route_follows_the_operand_sizes():
     calls = []
     real = bivar._packed_mul
 
-    def recording(ta, tb):
-        calls.append((len(ta), len(tb)))
-        return real(ta, tb)
+    def recording(ra, rb):
+        calls.append((sum(map(len, ra)), sum(map(len, rb))))
+        return real(ra, rb)
 
+    low = bivar.PACKED_MUL_MIN_TERMS
     dense = BiPoly.from_ints({(i, j): i - j or 7 for i in range(20) for j in range(20)})
-    nine = BiPoly.from_ints({(i, j): i + j + 1 for i in range(3) for j in range(3)})
-    eight = BiPoly.from_ints({(i, 0): i + 1 for i in range(8)})
-    pairs = [(dense, BiPoly.x() + 1), (dense, eight), (dense, nine), (nine, dense)]
+    at = BiPoly.from_ints({(i, 0): i + 1 for i in range(low)})
+    below = BiPoly.from_ints({(i, 0): i + 1 for i in range(low - 1)})
+    assert sum(map(len, at._r)) == low and sum(map(len, below._r)) == low - 1
+    pairs = [(dense, BiPoly.x() + 1), (dense, below), (dense, at), (at, dense)]
     with mock.patch.object(bivar, "_packed_mul", recording):
         products = [a * b for a, b in pairs]
-    # the smaller operand decides: a linear factor and eight terms stay
-    # in the schoolbook loop, whatever the size of the other operand
-    assert calls == [(400, 9), (400, 9)]
+    # the smaller operand decides: a linear factor and fewer entries than
+    # the bound stay in the schoolbook loop, whatever the size of the other
+    assert calls == [(400, low), (400, low)]
     for prod, (a, b) in zip(products, pairs):
         assert prod == schoolbook(a, b)
+
+
+@given(ref_polys, st.integers(-6, 30), st.integers(1, 3))
+@settings(max_examples=120, deadline=None)
+def test_shift_and_add_agrees_with_the_reference(a, j, m):
+    p = BiPoly(a)
+    s_j = {k: v for k, v in {(0, 0): Fraction(j), (0, 1): Fraction(1)}.items() if v}
+    x_1 = {(0, 0): Fraction(1), (1, 0): Fraction(1)}
+    assert_matches(bivar._times_factor(p, j, m), ref_mul(a, ref_pow(s_j, m)))
+    assert_matches(bivar._times_factor(p, bivar.X1, m), ref_mul(a, ref_pow(x_1, m)))
+    for lin, ref in ((BiPoly.s() + j, s_j), (BiPoly.x() + 1, x_1)):
+        calls = []
+        with mock.patch.object(bivar, "_schoolbook", lambda *r: calls.append(r)):
+            got = p * lin
+        assert_matches(got, ref_mul(a, ref))
+        assert not calls  # one shift-and-add pass, not the general product
 
 
 def off_by_one(p: BiPoly) -> BiPoly:

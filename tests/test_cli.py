@@ -330,6 +330,39 @@ class TestBenchCommand:
         assert before1.misses == before2.misses == 0
         assert after1.misses == after2.misses > 0
 
+    def test_no_sweep_compiles_a_tree(self, runner, monkeypatch):
+        from hforge import cli
+        from hforge.catalog import lookup
+        from hforge.dsl import compiled as compiled_mod
+
+        for tag in ("ID-5", "INTRO-2"):
+            entry = lookup(tag)
+            for side in (entry.lhs, entry.rhs, *entry.rhs_variants.values()):
+                monkeypatch.setattr(side, "_ast", None)  # parse and compile afresh
+        compiles = {"outside": 0, "inside": 0}
+        where = ["outside"]
+        real_compile, real_verify_all = compiled_mod._compile, cli.verify_all
+
+        def counting(node):
+            compiles[where[0]] += 1
+            return real_compile(node)
+
+        def sweeping(*args, **kwargs):
+            where[0] = "inside"
+            try:
+                return real_verify_all(*args, **kwargs)
+            finally:
+                where[0] = "outside"
+
+        monkeypatch.setattr(compiled_mod, "_compile", counting)
+        monkeypatch.setattr(cli, "verify_all", sweeping)
+        r = invoke(
+            runner, "bench", "--id", "ID-5", "--id", "INTRO-2", "--n-max", "3",
+            "--workers", "1,1,1", "--format", "csv",
+        )
+        assert r.exit_code == 0
+        assert compiles["outside"] > 0 and compiles["inside"] == 0
+
     def test_each_sweep_ends_with_its_wall_clock_time(self, runner):
         r = invoke(
             runner, "bench", "--id", "ID-5", "--id", "THM-2.6", "--n-max", "3",
