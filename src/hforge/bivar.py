@@ -24,8 +24,9 @@ because the slots are wide enough that no digit carries (see
 denominator is kept as an insertion-ordered ``{key: multiplicity}`` dict:
 ``s + j`` has the key ``j`` and ``x + 1`` the key ``X1``.  So long
 summations reuse shared factors, found by one int hash, instead of letting
-cross-multiplied denominators grow quadratically.  It converts to
-``BiFrac`` for comparison.
+cross-multiplied denominators grow quadratically.  A product cancels
+each linear factor of either operand's denominator that divides the
+other's numerator exactly.  It converts to ``BiFrac`` for comparison.
 """
 
 from __future__ import annotations
@@ -860,6 +861,54 @@ def _times_factors(p: BiPoly, factors: Mapping) -> BiPoly:
     return p
 
 
+def _div_key(rows: Rows, key) -> Rows | None:
+    """``rows`` divided by the linear factor with this key, or None if the
+    division leaves a remainder: for ``s + j`` one integer synthetic
+    division per x-row, for ``x + 1`` one pass down the rows (row i - 1
+    of the quotient is row i of ``rows`` less row i of the quotient)."""
+    if key is not X1:
+        out = []
+        for r in rows:
+            q = _div_linear(r, -key, 1)
+            if q is None:
+                return None
+            out.append(tuple(q))
+        return tuple(out)
+    out, carry = [], ()
+    for r in rows[:0:-1]:
+        carry = _trim(_lincomb(r, 1, carry, -1))
+        out.append(carry)
+    return None if _trim(_lincomb(rows[0], 1, carry, -1)) else tuple(out[::-1])
+
+
+def _cancel(p: BiPoly, factors: dict) -> tuple[BiPoly, dict]:
+    """``p`` divided by each linear factor of ``factors`` for as long as
+    the division is exact, and the factors that are left.
+
+    A primitive part divided by a monic factor stays primitive (Gauss's
+    lemma), so the content is unchanged."""
+    rows, left = p._r, None
+    for key, m in factors.items():
+        if type(key) is BiPoly:
+            continue
+        k = 0
+        while k < m:
+            quotient = _div_key(rows, key)
+            if quotient is None:
+                break
+            rows, k = quotient, k + 1
+        if k:
+            if left is None:
+                left = dict(factors)
+            if k == m:
+                del left[key]
+            else:
+                left[key] = m - k
+    if left is None:
+        return p, factors
+    return BiPoly._raw(p._n, p._d, rows), left
+
+
 class FactoredFrac:
     """Fraction whose denominator is kept as ``{key: multiplicity}``.
 
@@ -871,9 +920,17 @@ class FactoredFrac:
     separately share one key.
     Addition builds the factorwise least common denominator, so repeated
     sums over ``1/(s+j)``- and ``1/(x+1)``-style terms never cross-multiply
-    full denominators.  Purely an evaluation intermediate: comparisons go
-    through :meth:`to_bifrac`.  Values are shared (the factor memo hands
-    out one object to every caller), so ``_f`` is never mutated.
+    full denominators.  Multiplication first cancels linear factors: each
+    operand's numerator is divided by every ``s + j`` and ``x + 1`` of the
+    other's denominator for as long as the division is exact, and each
+    exact division lowers that factor's multiplicity by one (``_cancel``).
+    So ``C(s+n, k) * (psi(s+n+1) - psi(s+n-k+1))`` is a polynomial with
+    no denominator.  Other factors are never divided.  Purely an
+    evaluation intermediate: comparisons go through :meth:`to_bifrac`,
+    and a value's denominator, so also the cross difference a failing
+    comparison prints, depends on the cancellations made on the way.
+    Values are shared (the factor memo hands out one object to every
+    caller), so ``_f`` is never mutated.
     """
 
     __slots__ = ("num", "_f")
@@ -1035,10 +1092,12 @@ class FactoredFrac:
             return NotImplemented
         if self.num.is_zero() or o.num.is_zero():
             return FactoredFrac(BiPoly.zero())
-        merged = dict(self._f)
-        for k, m in o._f.items():
+        num_a, fb = _cancel(self.num, o._f)
+        num_b, fa = _cancel(o.num, self._f)
+        merged = dict(fa)
+        for k, m in fb.items():
             merged[k] = merged.get(k, 0) + m
-        return FactoredFrac._raw(self.num * o.num, merged)
+        return FactoredFrac._raw(num_a * num_b, merged)
 
     __rmul__ = __mul__
 

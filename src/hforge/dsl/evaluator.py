@@ -4,7 +4,10 @@
 integers and rationals stay int/Fraction, and a value with s or x is a
 factored-denominator accumulator, so sums over ``1/(s+j)``- and
 ``1/(1+x)``-shaped terms keep structured denominators instead of
-cross-multiplying.  Errors carry the span of the node at fault.
+cross-multiplying.  The sub-products that the compiled form shares are
+kept process-wide; ``product_memo_info`` reports their use and
+``special.clear_memos`` empties them.  Errors carry the span of the node
+at fault.
 """
 
 from __future__ import annotations
@@ -18,6 +21,8 @@ from ..bivar import BiFrac, FactoredFrac
 from ..exact import ZeroDenominatorError
 from ..report import Report, ReportRow, make_witness
 from ..special import (
+    KeyedMemo,
+    MemoInfo,
     binom_factor,
     binom_int,
     harmonic,
@@ -64,7 +69,19 @@ class _Exact:
             return a * b.inverse()
         if b == 0:
             raise EvalError("division by zero", span)
-        return a * (1 / Fraction(b))
+        if isinstance(a, FactoredFrac):
+            return a * (Fraction(1, b) if type(b) is int else 1 / b)
+        return Fraction(a, b) if type(a) is int and type(b) is int else a / b
+
+    def shared(self, key, run, env, of_x):
+        """``run(self, env)``, computed once per key in the process."""
+        value = _PRODUCTS.get(key)
+        if value is None:
+            _PRODUCTS.misses += 1
+            value = _PRODUCTS[key] = run(self, env)
+        else:
+            _PRODUCTS.hits += 1
+        return value
 
     def power(self, base, e: int, span):
         if isinstance(base, FactoredFrac):
@@ -83,6 +100,13 @@ class _Exact:
 
 
 _EXACT = _Exact()
+# The sub-products that ``dsl.compiled`` shares, by source text and bindings.
+_PRODUCTS = KeyedMemo()
+
+
+def product_memo_info() -> MemoInfo:
+    """Hit, miss and entry counts of the shared sub-product memo."""
+    return _PRODUCTS.info()
 
 
 def eval(

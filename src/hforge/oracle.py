@@ -34,6 +34,16 @@ sums of ``1/(s+j)`` and ``1/(s+j)^2`` and the binomials ``C(s+shift, k)``,
 grown on demand; one context per integer s, memoized process-wide,
 serves every cell of a sweep, ``point_memo_info`` reports its use and
 ``special.clear_memos`` empties it.
+
+A sampling grid (s = 1..M with M > 1, the grids of ``sampling_verify``)
+also shares the sub-products of the sides (see ``dsl.compiled``) that
+are free of x, in a process-wide memo keyed by source text and bindings:
+each is kept as its list of values over s = 1..M.  A smaller grid reads
+a prefix of that list; a larger one extends it by running the
+sub-product on the tail of its grid alone.  Integer-s grids, one-point
+grids and empty grids compute every value themselves, so the integer-s
+oracle stays independent of the sampling one.  ``grid_memo_info``
+reports the memo's use and ``special.clear_memos`` empties it.
 """
 
 from __future__ import annotations
@@ -51,6 +61,7 @@ from .catalog import IdentityEntry, Side, lookup
 from .dsl.compiled import compiled
 from .report import Report, ReportRow
 from .special import (
+    KeyedMemo,
     MemoInfo,
     binom_int,
     harmonic,
@@ -258,6 +269,16 @@ def point_memo_info() -> MemoInfo:
     return MemoInfo(hits=info.hits, misses=info.misses, size=info.currsize)
 
 
+# The sub-products that sampling grids share (``_Grid.shared``), each a
+# list of values over s = 1..M.
+_PRODUCTS = KeyedMemo()
+
+
+def grid_memo_info() -> MemoInfo:
+    """Hit, miss and entry counts of the sampling grids' sub-product memo."""
+    return _PRODUCTS.info()
+
+
 class _IntegerSCtx:
     """Summation primitives at a nonnegative integer point s0.
 
@@ -376,7 +397,7 @@ class _Grid:
     x), or a list over the s values of tuples over the x values.
     """
 
-    __slots__ = ("ctxs", "s", "x")
+    __slots__ = ("ctxs", "s", "x", "_memo")
 
     rat = staticmethod(_rat)
     neg = functools.partial(_map, operator.neg)
@@ -384,10 +405,32 @@ class _Grid:
     sub = functools.partial(_lift, operator.sub)
     mul = functools.partial(_lift, operator.mul)
 
-    def __init__(self, ctxs, xs):
+    def __init__(self, ctxs, xs, shared: bool = False):
         self.ctxs = ctxs
         self.s = [_rat(ctx.s) for ctx in ctxs]
         self.x = tuple(map(_rat, xs))
+        # only a sampling grid, s = 1..M with M > 1, reuses sub-products
+        self._memo = _PRODUCTS if shared and len(ctxs) > 1 else None
+
+    def shared(self, key, run, env, of_x: bool):
+        """``run(self, env)``; on a sampling grid, a sub-product free of x
+        is kept as its list over s = 1..M, and a larger grid extends that
+        list by running on the tail of the grid."""
+        memo = self._memo
+        if memo is None or of_x:
+            return run(self, env)
+        value = memo.get(key)
+        m = len(self.ctxs)
+        if value is not None and (type(value) is not list or len(value) >= m):
+            memo.hits += 1
+            return value[:m] if type(value) is list else value
+        memo.misses += 1
+        if value is None:
+            value = run(self, env)
+        else:
+            value = value + run(_Grid(self.ctxs[len(value):], ()), env)
+        memo[key] = value
+        return value
 
     def div(self, a, b, span):
         return _lift(_div, a, b)
@@ -437,9 +480,9 @@ class _Grid:
         return [_horner_row(row, lo, base) for row in rows]
 
 
-def _walk(side: Side, n: int, params: Params, ctxs=(), xs=()):
+def _walk(side: Side, n: int, params: Params, ctxs=(), xs=(), shared=False):
     """The side's value at n over the grid ``ctxs`` x ``xs`` (see ``_Grid``)."""
-    return compiled(side.ast)(_Grid(ctxs, xs), {**params, "n": n})
+    return compiled(side.ast)(_Grid(ctxs, xs, shared), {**params, "n": n})
 
 
 # ---------------------------------------------------------------------------
@@ -510,8 +553,8 @@ def sampling_verify(
         raise RuntimeError(f"{entry.tag}: sample points must be positive")
     if len(ctxs) * len(xs) < (bs + 1) * (bx + 1):
         raise RuntimeError(f"{entry.tag}: sample grid below the degree bound")
-    lhs_v = _walk(entry.lhs, n, params, ctxs, xs)
-    rhs_v = _walk(rhs, n, params, ctxs, xs)
+    lhs_v = _walk(entry.lhs, n, params, ctxs, xs, shared=True)
+    rhs_v = _walk(rhs, n, params, ctxs, xs, shared=True)
     points: list[tuple[Fraction, Fraction]] = []
     all_equal = True
     for i, ctx in enumerate(ctxs):

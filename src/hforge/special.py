@@ -23,8 +23,8 @@ It is already reduced, because every pole is distinct and has a nonzero
 residue.  All three builders are memoized process-wide; their values are
 never mutated, so one value is shared by every cell and side that asks for
 it.  Other modules register their own process-wide memos with
-``register_memo``, and ``clear_memos`` empties them all with the harmonic
-table.
+``register_memo`` (a ``KeyedMemo`` registers itself), and ``clear_memos``
+empties them all with the harmonic table.
 """
 
 from __future__ import annotations
@@ -212,6 +212,24 @@ class MemoInfo(NamedTuple):
     hits: int
     misses: int
     size: int
+
+
+class KeyedMemo(dict):
+    """A process-wide table of shared values, with hit and miss counts kept
+    by its user.  Registered with ``register_memo`` on creation, so
+    ``clear_memos`` empties it and its counts."""
+
+    def __init__(self):
+        super().__init__()
+        self.hits = self.misses = 0
+        register_memo(self)
+
+    def cache_clear(self) -> None:
+        self.clear()
+        self.hits = self.misses = 0
+
+    def info(self) -> MemoInfo:
+        return MemoInfo(hits=self.hits, misses=self.misses, size=len(self))
 
 
 def factor_memo_info() -> MemoInfo:

@@ -20,7 +20,7 @@ from hforge.bivar import (
     ffsum,
 )
 from hforge.exact import PoleError, Poly, RatFunc, ZeroDenominatorError
-from hforge.special import psi_factor
+from hforge.special import binom_factor, psi_factor
 
 keys = st.tuples(st.integers(0, 3), st.integers(0, 3))
 coeffs = st.fractions(min_value=-6, max_value=6, max_denominator=4)
@@ -453,6 +453,79 @@ class TestKeyedDenominator:
         x1 = FactoredFrac(BiPoly.x() + 1).inverse() * FactoredFrac(BiPoly.one(), [(s3, 2)])
         assert list(x1._f.items()) == [(bivar.X1, 1), (3, 2)]
         assert list(x1.den.items()) == [(BiPoly.x() + 1, 1), (s3, 2)]
+
+
+class TestCancellation:
+    """``FactoredFrac.__mul__`` divides each numerator by the other
+    operand's linear denominator factors while the division is exact."""
+
+    @staticmethod
+    def uncancelled(a: FactoredFrac, b: FactoredFrac) -> BiFrac:
+        return a.to_bifrac() * b.to_bifrac()
+
+    def test_a_binomial_cancels_the_poles_of_its_digamma_difference(self):
+        # C(s+3, 2) = (s+2)(s+3)/2 and psi(s+4) - psi(s+2) = 1/(s+2) + 1/(s+3)
+        cs, psi = binom_factor(3, 2), psi_factor(4, 2)
+        for prod in (cs * psi, psi * cs):
+            assert prod._f == {}
+            assert prod.num == BiPoly({(0, 0): Fraction(5, 2), (0, 1): 1})
+        assert list((cs * psi_factor(5, 2))._f.items()) == [(4, 1)]
+
+    def test_multiplicities_fall_one_division_at_a_time(self):
+        s2, x1 = BiPoly.s() + 2, BiPoly.x() + 1
+        den = FactoredFrac(BiPoly.s(), [(s2, 3), (x1, 2)])
+        num = FactoredFrac(s2 * s2 * x1 * 7)
+        prod = num * den
+        assert list(prod._f.items()) == [(2, 1), (bivar.X1, 1)]
+        assert prod.num == BiPoly.s().scale(7)
+        assert bifrac_eq(prod.to_bifrac(), self.uncancelled(num, den))
+
+    def test_a_division_with_a_remainder_is_refused(self):
+        s3 = BiPoly.s() + 3
+        # s^2 + 4s + 4 leaves the remainder 1 on division by s + 3, and
+        # x^2 + x + 1 the remainder 1 on division by x + 1
+        for num, key in [
+            (BiPoly({(0, 2): 1, (0, 1): 4, (0, 0): 4}), 3),
+            (BiPoly({(2, 0): 1, (1, 0): 1, (0, 0): 1}), bivar.X1),
+            # one row divides and the other does not
+            (BiPoly({(0, 1): 1, (0, 0): 3, (1, 0): 1}), 3),
+        ]:
+            assert bivar._div_key(num._r, key) is None
+            den = FactoredFrac(BiPoly.one(), [(s3 if key == 3 else BiPoly.x() + 1, 2)])
+            prod = FactoredFrac(num) * den
+            assert prod.num == num and list(prod._f.items()) == [(key, 2)]
+        exact = BiPoly({(0, 2): 1, (0, 1): 4, (0, 0): 3})  # (s+1)(s+3)
+        assert bivar._div_key(exact._r, 3) == ((1, 1),)
+
+    def test_values_are_shared_and_never_changed(self):
+        cs, psi = binom_factor(3, 2), psi_factor(4, 2)
+        before = (cs.num, dict(cs._f), psi.num, dict(psi._f))
+        cs * psi
+        assert (cs.num, cs._f, psi.num, psi._f) == before
+
+    @given(
+        *[st.lists(st.sampled_from([0, 1, 2, 3, 4, "x"]), max_size=4)] * 4,
+        st.fractions(min_value=-5, max_value=5, max_denominator=3).filter(bool),
+        st.integers(0, 2),
+        st.integers(0, 2),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_cancelled_products_equal_uncancelled_ones(self, ra, rb, da, db, c, ea, eb):
+        # numerator c * prod(factors) + e: exactly divisible at e = 0
+        def value(roots, den, scale, extra):
+            num = BiPoly.const(scale)
+            for f in roots:
+                num = num * linear(f)
+            return FactoredFrac(num + extra, [(linear(f), 1) for f in den])
+
+        def linear(f):
+            return BiPoly.x() + 1 if f == "x" else BiPoly.s() + f
+
+        a, b = value(ra, da, c, ea), value(rb, db, 1 - c or 1, eb)
+        got = a * b
+        assert bifrac_eq(got.to_bifrac(), self.uncancelled(a, b))
+        assert_canonical(got.num)
+        assert all(m > 0 for m in got._f.values())
 
 
 # -- the packed (Kronecker) product and comparison against the references ---

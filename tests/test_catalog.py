@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from hforge import bivar
 from hforge.bivar import bifrac_eq
 from hforge.catalog import (
     ParamSpec,
@@ -28,8 +29,9 @@ from hforge.catalog import (
 from hforge.catalog import catalog as catalog_entries
 from hforge.dsl import check, load_corpus
 from hforge.dsl import eval as dsl_eval
-from hforge.oracle import point_memo_info
-from hforge.special import factor_memo_info
+from hforge.dsl.evaluator import product_memo_info
+from hforge.oracle import grid_memo_info, point_memo_info
+from hforge.special import clear_memos, factor_memo_info
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -391,3 +393,57 @@ def test_a_mutated_psi_statement_fails_its_verdict_or_its_edge(tag, kind):
             if caught:
                 break
         assert caught, (tag, kind, left.source, right.source)
+
+
+def _every_side(n_max):
+    """(label, evaluate) for both sides of every catalog cell (capped like
+    ``verify_all``) and every corpus line with n <= n_max."""
+    sides = []
+    for entry in catalog_entries():
+        for tag, n, params, variant, _ in plan_cells(entry, range(entry.n_min, n_max + 1)):
+            sides.append(((tag, n, params, "lhs"), lambda e=entry, n=n, p=params:
+                          eval_side(e, "lhs", n, p)))
+            sides.append(((tag, n, params, variant), lambda e=entry, n=n, p=params, v=variant:
+                          eval_side(e, "rhs", n, p, v)))
+    entries, issues = load_corpus(ROOT / "corpus" / "paper.ids")
+    assert entries and not issues
+    for ce in entries:
+        identity = check(ce.identity)
+        for n in range(1, n_max + 1):
+            for side in (identity.lhs, identity.rhs):
+                sides.append(((ce.name, n), lambda a=side, n=n: dsl_eval(a, n)))
+    return sides
+
+
+def test_shared_and_cancelled_sides_equal_cold_and_uncancelled_ones(monkeypatch):
+    # Every side with n <= 15 three ways: served from warm memos (the
+    # shared sub-products and the factors), computed on empty memos, and
+    # computed with the cancellation of linear factors switched off.
+    sides = _every_side(15)
+    clear_memos()
+    for _, evaluate in sides:
+        evaluate()
+    assert product_memo_info().hits > 0
+    warm = [evaluate() for _, evaluate in sides]
+    cold = []
+    for _, evaluate in sides:
+        clear_memos()
+        cold.append(evaluate())
+    monkeypatch.setattr(bivar, "_cancel", lambda p, factors: (p, factors))
+    clear_memos()
+    uncancelled = [evaluate() for _, evaluate in sides]
+    monkeypatch.undo()
+    clear_memos()
+    reshaped = 0
+    for (label, _), w, c, u in zip(sides, warm, cold, uncancelled):
+        assert w == c == u, label
+        reshaped += (w.num, w.den) != (u.num, u.den)
+    assert reshaped  # the cancellation did change some sides' form
+
+
+def test_clear_memos_empties_the_shared_product_memos():
+    clear_memos()
+    verify_all(3, tags=["THM-2.8", "THM-2.2"], oracle="sampling")
+    assert product_memo_info().size > 0 and grid_memo_info().size > 0
+    clear_memos()
+    assert product_memo_info() == grid_memo_info() == (0, 0, 0)

@@ -309,26 +309,30 @@ class TestBenchCommand:
 
     def test_each_sweep_starts_with_cold_tables(self, runner, monkeypatch):
         from hforge import cli
+        from hforge.dsl.evaluator import product_memo_info
         from hforge.special import factor_memo_info
 
         seen = []
         real = cli.verify_all
 
         def recording(*args, **kwargs):
-            before = factor_memo_info()
+            before = factor_memo_info(), product_memo_info()
             report = real(*args, **kwargs)
-            seen.append((before, factor_memo_info()))
+            seen.append((before, (factor_memo_info(), product_memo_info())))
             return report
 
         monkeypatch.setattr(cli, "verify_all", recording)
         r = invoke(
             runner, "bench", "--id", "THM-2.11", "--n-max", "3",
-            "--workers", "1,1", "--format", "csv",
+            "--workers", "1,1,1", "--format", "csv",
         )
         assert r.exit_code == 0
-        (before1, after1), (before2, after2) = seen
-        assert before1.misses == before2.misses == 0
-        assert after1.misses == after2.misses > 0
+        assert len(seen) == 3
+        # the factor memo and the shared sub-product memo alike
+        for memo in (0, 1):
+            assert {before[memo] for before, _ in seen} == {(0, 0, 0)}
+            (after,) = {after[memo] for _, after in seen}
+            assert after.misses > 0
 
     def test_no_sweep_compiles_a_tree(self, runner, monkeypatch):
         from hforge import cli

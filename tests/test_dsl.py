@@ -1,5 +1,6 @@
 """Identity language: lexing, parsing, domains, evaluation, printing."""
 
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -32,7 +33,14 @@ from hforge.dsl import (
 from hforge.bivar import FactoredFrac
 from hforge.catalog import Side
 from hforge.dsl import eval as dsl_eval
-from hforge.special import clear_memos, factor_memo_info, harmonic, psi_factor
+from hforge.dsl.evaluator import product_memo_info
+from hforge.special import (
+    binom_factor,
+    clear_memos,
+    factor_memo_info,
+    harmonic,
+    psi_factor,
+)
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus" / "paper.ids"
 
@@ -285,10 +293,15 @@ class TestEvaluator:
         clear_memos()
         ast = ok(check(ok(parse_expr("sum(k=1..n, PSID(n,1)^2 + s*PSID(k,1))"))))
         plain = dsl_eval(ast, 3)
-        # PSID(1,1), PSID(2,1), PSID(3,1): six calls, three builds
+        # PSID(1,1), PSID(2,1), PSID(3,1): six calls, three builds; the
+        # three products s*PSID(k,1) are built once each
         assert factor_memo_info() == (3, 3, 3)
+        assert product_memo_info() == (0, 3, 3)
         assert dsl_eval(ast, 3) == plain
-        assert factor_memo_info() == (9, 3, 3)
+        # the repeat builds nothing: PSID(3,1)^2 is served by the factor
+        # memo, s*PSID(k,1) by the product memo
+        assert factor_memo_info() == (6, 3, 3)
+        assert product_memo_info() == (3, 3, 3)
         want = sum(
             (psi_factor(3, 1) ** 2 + psi_factor(k, 1) * FactoredFrac.var_s()
              for k in (1, 2, 3)),
@@ -300,6 +313,73 @@ class TestEvaluator:
         v = dsl_eval(ok(parse_expr("sum(k=1..n, 1/(k*(1+x)^k))")), 2)
         got = v.subst_s(0).subst_x(1)
         assert got.as_constant() == Fraction(1, 2) + Fraction(1, 8)
+
+
+class TestSharedProducts:
+    """A chain's factors that carry s or x are one sub-product, shared by
+    its source text and the values of the names it reads."""
+
+    @staticmethod
+    def evaluate(src, n, bindings=None, params=()):
+        return dsl_eval(ok(check(ok(parse_expr(src)), params)), n, bindings)
+
+    def test_a_product_is_reused_across_n_and_sides(self):
+        clear_memos()
+        first = self.evaluate("sum(k=0..n-1, C(n,k) * CS(k,k)*PSID(k+1,1))", 3)
+        assert product_memo_info() == (0, 3, 3)
+        # another n and another statement of the same sub-product reuse it
+        self.evaluate("sum(k=0..n-1, CS(k,k)*PSID(k+1,1)/(k+1))", 4)
+        assert product_memo_info() == (3, 4, 4)
+        want = sum(
+            (binom_factor(k, k) * psi_factor(k + 1, 1) * math.comb(3, k) for k in range(3)),
+            FactoredFrac.from_scalar(0),
+        )
+        assert first == want.to_bifrac()
+
+    def test_sides_that_differ_only_in_a_binder_name_share_nothing(self):
+        clear_memos()
+        a = self.evaluate("sum(k=1..n, CS(k,k)*PSID(k+1,1))", 4)
+        b = self.evaluate("sum(j=1..n, CS(j,j)*PSID(j+1,1))", 4)
+        assert product_memo_info() == (0, 8, 8)
+        assert a == b
+
+    def test_sides_that_differ_only_in_a_parameter_value_share_nothing(self):
+        clear_memos()
+        src = "sum(k=1..n, CS(m,k)*PSID(m+k,k))"
+        for m in (2, 3):
+            got = self.evaluate(src, 3, {"m": m}, ("m",))
+            want = sum(
+                (binom_factor(m, k) * psi_factor(m + k, k) for k in (1, 2, 3)),
+                FactoredFrac.from_scalar(0),
+            )
+            assert got == want.to_bifrac(), m
+        assert product_memo_info().hits == 0
+
+    def test_sides_that_differ_only_in_a_divide_flag_share_nothing(self):
+        clear_memos()
+        cs, psi, cs2 = binom_factor(3, 1), psi_factor(4, 1), binom_factor(3, 2)
+        for src, want in [
+            ("CS(n,1)*PSID(n+1,1)", cs * psi),
+            ("CS(n,1)/PSID(n+1,1)", cs / psi),
+            # the same factor texts, grouped differently
+            ("CS(n,1)/PSID(n+1,1)/CS(n,2)", cs / psi / cs2),
+            ("CS(n,1)/(PSID(n+1,1)/CS(n,2))", cs / (psi / cs2)),
+        ]:
+            assert self.evaluate(src, 3) == want.to_bifrac(), src
+        assert product_memo_info().hits == 0
+
+    def test_an_unbound_name_raises_the_same_error(self):
+        src = "sum(k=1..n, CS(m,k)*PSID(m+k,k))"
+        for _ in range(2):
+            clear_memos()
+            with pytest.raises(EvalError) as exc:
+                self.evaluate(src, 3, params=("m",))
+            assert exc.value.message == "unbound variable 'm'"
+            at = src.index("CS(m") + 3
+            assert exc.value.span == (at, at + 1)
+            assert product_memo_info().size == 0
+            # the same product with m bound is unaffected
+            self.evaluate(src, 3, {"m": 2}, ("m",))
 
 
 class TestCheckIdentity:

@@ -18,6 +18,7 @@ from hforge.catalog import Side, eval_side, lookup, plan_cells, tags
 from hforge.oracle import (
     SampleCertificate,
     degree_bound,
+    grid_memo_info,
     id13_family_check,
     integer_s_check,
     point_memo_info,
@@ -280,6 +281,56 @@ class TestPointMemo:
             assert point_memo_info().size == 6
             clear_memos()
             assert point_memo_info() == (0, 0, 0)
+
+
+class TestGridMemo:
+    """Sampling grids share the x-free sub-products of their sides, each
+    kept as its list over s = 1..M."""
+
+    @staticmethod
+    def grid_values(n_max, shared, fresh=False):
+        """Every side of every cell with n <= n_max over its sampling grid,
+        in increasing n, so that later grids extend the memo's lists."""
+        out = []
+        for e in catalog_entries():
+            for _, n, params, variant, _ in plan_cells(e, range(e.n_min, n_max + 1)):
+                bs, bx = degree_bound(e, n)
+                ctxs = [oracle._point_ctx(sv) for sv in range(1, bs + 2)]
+                xs = [Fraction(xv) for xv in range(1, bx + 2)]
+                for side in (e.lhs, e.rhs_for(variant)):
+                    if fresh:
+                        clear_memos()
+                    out.append(oracle._walk(side, n, params, ctxs, xs, shared))
+        return out
+
+    def test_cold_and_warm_memos_give_the_same_value_at_every_point(self):
+        clear_memos()
+        plain = self.grid_values(8, shared=False)
+        assert grid_memo_info() == (0, 0, 0)
+        extended = self.grid_values(8, shared=True)
+        info = grid_memo_info()
+        # smaller grids came first, so the larger ones extended the lists
+        assert info.misses > info.size > 0
+        warm = self.grid_values(8, shared=True)
+        assert grid_memo_info().misses == info.misses
+        cold = self.grid_values(8, shared=True, fresh=True)
+        assert plain == extended == warm == cold
+
+    def test_only_sampling_grids_of_several_points_share(self):
+        clear_memos()
+        entry = lookup("THM-2.8")
+        sampling_verify(entry, 3)
+        for s0 in oracle.INTEGER_S_POINTS:
+            integer_s_check(entry, 3, s0)
+        oracle._walk(entry.rhs, 3, {}, [oracle._point_ctx(1)], (), shared=True)
+        info = grid_memo_info()
+        assert info.size > 0 and info.hits == 0
+        # an x-carrying product is never kept, an x-free one is
+        ctxs, xs = [oracle._point_ctx(sv) for sv in (1, 2, 3)], [Fraction(1), Fraction(2)]
+        oracle._walk(Side("CS(n,2)*PSID(n+1,1)*x"), 3, {}, ctxs, xs, shared=True)
+        assert grid_memo_info() == info
+        oracle._walk(Side("(CS(n,2)*PSID(n+1,1) + 1)*x"), 3, {}, ctxs, xs, shared=True)
+        assert grid_memo_info().size == info.size + 1
 
 
 class TestDegreeBound:

@@ -10,6 +10,7 @@ import pytest
 from hforge import catalog, special
 from hforge.bivar import BiFrac, FactoredFrac, bifrac_eq
 from hforge.catalog import verify_all
+from hforge.dsl.evaluator import product_memo_info
 from hforge.exact import Poly, RatFunc
 from hforge.special import (
     HarmonicCache,
@@ -248,15 +249,19 @@ class TestDirectFactors:
 
 class TestFactorMemo:
     def test_a_repeated_sweep_adds_no_misses(self):
+        # Counted over the factor memo and the shared sub-product memo: a
+        # product served by the second never calls the builders again.
         clear_memos()
         verify_all(3, tags=["THM-2.11"])
-        first = factor_memo_info()
-        assert first.misses > 0 and first.size == first.misses
+        first = [factor_memo_info(), product_memo_info()]
+        for info in first:
+            assert info.misses > 0 and info.size == info.misses
         verify_all(3, tags=["THM-2.11"])
-        second = factor_memo_info()
-        assert second.misses == first.misses
-        assert second.size == first.size
-        assert second.hits > first.hits
+        second = [factor_memo_info(), product_memo_info()]
+        for before, after in zip(first, second):
+            assert after.misses == before.misses
+            assert after.size == before.size
+        assert second[1].hits > first[1].hits
 
     def test_sweep_rows_agree_with_memoization_off(self, monkeypatch):
         # A warm sweep against each of its cells run alone on empty memos,
