@@ -3,16 +3,16 @@
 The package is layered bottom-up:
 
 ``exact``
-    Rational numbers, dense univariate polynomials in s, and reduced
-    rational functions with polynomial gcd.
+    The exact-arithmetic errors, and the gcd of two integer polynomials
+    that ``hforge eval`` uses to print a value in lowest terms.
 ``bivar``
     Dense bivariate polynomials in (x, s), unreduced bivariate
     fractions compared by cross-multiplication, and a factored-
     denominator accumulator for building large sums cheaply.
 ``special``
-    Harmonic numbers, binomial coefficients (integer and shifted-
-    symbolic), and digamma differences realized as finite sums, with
-    factored-fraction builders for the symbolic ones.
+    Harmonic numbers, integer binomial coefficients, and the memoized
+    factored-fraction builders for shifted binomials and for digamma
+    differences realized as finite sums.
 ``dsl``
     A small expression language for stating identities: a span-carrying
     parser, static checks, one compiled form per checked tree that takes
@@ -39,27 +39,9 @@ from .catalog import (
     verify,
     verify_all,
 )
-from .exact import (
-    ExactArithError,
-    Poly,
-    PoleError,
-    RatFunc,
-    Rational,
-    ZeroDenominatorError,
-    poly_gcd,
-    poly_lcm,
-)
+from .exact import ExactArithError, PoleError, ZeroDenominatorError, poly_gcd
 from .report import Report, ReportRow, Witness, make_witness
-from .special import (
-    binom_int,
-    binom_neg3half,
-    binom_shift,
-    clear_memos,
-    harmonic,
-    harmonic_gen,
-    psi1_diff,
-    psi_diff,
-)
+from .special import binom_int, binom_neg3half, clear_memos, harmonic, harmonic_gen
 
 __version__ = "0.1.0"
 
@@ -70,10 +52,7 @@ __all__ = [
     "FactoredFrac",
     "IdentityEntry",
     "ParamSpec",
-    "Poly",
     "PoleError",
-    "RatFunc",
-    "Rational",
     "Report",
     "ReportRow",
     "Witness",
@@ -81,7 +60,6 @@ __all__ = [
     "bifrac_eq",
     "binom_int",
     "binom_neg3half",
-    "binom_shift",
     "clear_memos",
     "cross_difference",
     "eval_side",
@@ -91,9 +69,6 @@ __all__ = [
     "lookup",
     "make_witness",
     "poly_gcd",
-    "poly_lcm",
-    "psi1_diff",
-    "psi_diff",
     "tags",
     "verify",
     "verify_all",

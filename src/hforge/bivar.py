@@ -38,19 +38,21 @@ from itertools import chain, zip_longest
 from types import MappingProxyType
 from typing import Union
 
-from .exact import (
-    Poly,
-    PoleError,
-    RatFunc,
-    ZeroDenominatorError,
-    _as_fraction,
-)
+from .exact import PoleError, ZeroDenominatorError, poly_gcd
 
 Key = tuple[int, int]  # (x degree, s degree) of a ``terms`` entry
 Rows = tuple[tuple[int, ...], ...]  # row i: coefficients of x^i s^0, x^i s^1, ...
 
 
 _ZERO = Fraction(0)
+
+
+def _as_fraction(c: Union[int, Fraction]) -> Fraction:
+    if isinstance(c, Fraction):
+        return c
+    if isinstance(c, int):
+        return Fraction(c)
+    raise TypeError(f"expected an exact scalar, got {type(c).__name__}")
 
 
 # -- integer rows ----------------------------------------------------------
@@ -283,6 +285,23 @@ def _div_linear(coeffs, p: int, q: int) -> list[int] | None:
     return None if coeffs and coeffs[0] + p * carry else out[::-1]
 
 
+def _div_exact(a, b) -> tuple[int, ...]:
+    """Integer coefficients of ``a(t) / b(t)`` for a primitive ``b`` that
+    divides ``a``; by Gauss's lemma the quotient has integer coefficients."""
+    rem, db = list(a), len(b) - 1
+    out = [0] * (len(a) - db)
+    for i in range(len(out) - 1, -1, -1):
+        c, r = divmod(rem[i + db], b[-1])
+        if r:
+            raise ValueError("inexact polynomial division")
+        out[i] = c
+        for j, v in enumerate(b):
+            rem[i + j] -= c * v
+    if any(rem):
+        raise ValueError("inexact polynomial division")
+    return tuple(out)
+
+
 class BiPoly:
     """Dense bivariate polynomial in content x primitive-part form.
 
@@ -344,14 +363,6 @@ class BiPoly:
     @classmethod
     def s(cls, e: int = 1) -> "BiPoly":
         return cls._raw(1, 1, ((0,) * e + (1,),))
-
-    @classmethod
-    def from_s_poly(cls, p: Poly) -> "BiPoly":
-        return cls({(0, j): c for j, c in enumerate(p.coeffs)})
-
-    @classmethod
-    def from_x_poly(cls, p: Poly) -> "BiPoly":
-        return cls({(i, 0): c for i, c in enumerate(p.coeffs)})
 
     # -- queries -----------------------------------------------------------
 
@@ -518,18 +529,6 @@ class BiPoly:
         rows = [[j * v for j, v in enumerate(r)][1:] for r in self._r]
         return BiPoly._raw(*_canonical(self._n, self._d, rows))
 
-    def to_s_poly(self) -> Poly:
-        if self.deg_x > 0:
-            raise ValueError("not univariate in s")
-        n, d = self._n, self._d
-        return Poly([Fraction(n * v, d) for r in self._r for v in r])
-
-    def to_x_poly(self) -> Poly:
-        if self.deg_s > 0:
-            raise ValueError("not univariate in x")
-        n, d = self._n, self._d
-        return Poly([Fraction(n * r[0], d) if r else _ZERO for r in self._r])
-
     # -- comparison / display ---------------------------------------------
 
     def __eq__(self, other):
@@ -617,10 +616,6 @@ class BiFrac:
     def from_rational(cls, c) -> "BiFrac":
         return cls(BiPoly.const(c))
 
-    @classmethod
-    def from_ratfunc(cls, rf: RatFunc) -> "BiFrac":
-        return cls(BiPoly.from_s_poly(rf.num), BiPoly.from_s_poly(rf.den))
-
     # -- queries -----------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -649,8 +644,6 @@ class BiFrac:
             return other
         if isinstance(other, (int, Fraction, BiPoly)):
             return BiFrac(other)
-        if isinstance(other, RatFunc):
-            return BiFrac.from_ratfunc(other)
         return None
 
     def __add__(self, other):
@@ -751,10 +744,23 @@ class BiFrac:
     def eval(self, s0, x0) -> Fraction:
         return self.subst_x(x0).subst_s(s0).as_constant()
 
-    def to_ratfunc(self) -> RatFunc:
-        if self.num.deg_x > 0 or self.den.deg_x > 0:
+    def lowest_terms(self) -> tuple[BiPoly, BiPoly]:
+        """Numerator and monic denominator of an x-free value in lowest
+        terms, for display: both integer s-rows are divided by their gcd.
+        Verification never reduces; it compares by cross-multiplication."""
+        num, den = self.num, self.den
+        if num.deg_x > 0 or den.deg_x > 0:
             raise ValueError("fraction depends on x")
-        return RatFunc(self.num.to_s_poly(), self.den.to_s_poly())
+        if not num._r:
+            return num, den
+        rn, rd = num._r[0], den._r[0]
+        g = poly_gcd(rn, rd)
+        if len(g) > 1:
+            rn, rd = _div_exact(rn, g), _div_exact(rd, g)
+        # num/den = (cn*rn)/(cd*rd); dividing both by cd*lead(rd) makes den monic
+        lead = rd[-1]
+        scale = Fraction(num._n * den._d, num._d * den._n * lead)
+        return BiPoly.from_rows((rn,), scale), BiPoly.from_rows((rd,), Fraction(1, lead))
 
     # -- comparison / display ---------------------------------------------
 
@@ -986,29 +992,6 @@ class FactoredFrac:
         """``num / prod_j (s + j)^shifts[j]``, for positive multiplicities."""
         return cls._raw(num, dict(shifts))
 
-    @classmethod
-    def from_ratfunc(
-        cls, rf: RatFunc, linear_roots: Iterable[tuple[int, int]] | None = None
-    ) -> "FactoredFrac":
-        """Embed a reduced rational function.
-
-        ``linear_roots`` lists (j, multiplicity) pairs asserting that the
-        denominator is exactly ``prod (s+j)^multiplicity``; the factors are
-        peeled off by exact division so they can be shared structurally.
-        """
-        num = BiPoly.from_s_poly(rf.num)
-        if rf.den.is_one() or rf.num.is_zero():
-            return cls(num)
-        if linear_roots is None:
-            return cls(num, ((BiPoly.from_s_poly(rf.den), 1),))
-        den, roots = rf.den, list(linear_roots)
-        for j, m in roots:
-            for _ in range(m):
-                den = den.div_exact(Poly.linear(j))
-        if not den.is_one():
-            raise ValueError("denominator not exhausted by the declared roots")
-        return cls(num, [(BiPoly.s() + j, m) for j, m in roots])
-
     # -- queries -----------------------------------------------------------
 
     @property
@@ -1037,8 +1020,6 @@ class FactoredFrac:
             return cls.from_scalar(v)
         if isinstance(v, BiPoly):
             return cls(v)
-        if isinstance(v, RatFunc):
-            return cls.from_ratfunc(v)
         return None
 
     def __add__(self, other):

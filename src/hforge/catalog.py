@@ -19,14 +19,17 @@ from .bivar import BiFrac, bifrac_eq
 from .report import Report, ReportRow, make_witness
 
 # Unused here; the tracer in perfbench/spans.py patches these names in
-# this module, so they stay importable from it.
+# this module, so they stay importable from it.  ``binom_shift``,
+# ``psi_diff`` and ``psi1_diff`` are the names of builders that no longer
+# exist; they stay, bound to the factor builders, until the tracer stops
+# patching them.
 from .special import (  # noqa: F401
     binom_factor,
-    binom_shift,
-    psi1_diff,
+    binom_factor as binom_shift,
     psi1_factor,
-    psi_diff,
+    psi1_factor as psi1_diff,
     psi_factor,
+    psi_factor as psi_diff,
 )
 
 # ---------------------------------------------------------------------------

@@ -292,10 +292,10 @@ def dsl_cmd(path, n_min, n_max, fmt, output, no_timing):
 def _render_value(value) -> str:
     if value.is_constant():
         return str(value.as_constant())
-    try:
-        return str(value.to_ratfunc())
-    except ValueError:
+    if value.deg_x > 0:
         return str(value)
+    num, den = value.lowest_terms()
+    return str(num) if den == 1 else f"({num})/({den})"
 
 
 @main.command("eval")

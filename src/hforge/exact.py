@@ -1,21 +1,17 @@
-"""Exact scalar and univariate rational-function arithmetic.
+"""Exact-arithmetic errors and the integer polynomial gcd.
 
-Scalars are arbitrary-precision fractions (``fractions.Fraction``, aliased as
-``Rational``).  ``Poly`` is a dense univariate polynomial over ``Rational``
-in the formal variable ``s``; ``RatFunc`` is a fully reduced quotient of two
-polynomials with a monic denominator, so every value has exactly one
-representative and structural equality is semantic equality.
+The errors are raised by every exact layer above.  ``poly_gcd`` is the gcd
+of two univariate polynomials with integer coefficients; ``hforge eval``
+uses it to print an x-free value in lowest terms.  Verification never
+takes a gcd: it compares fractions by cross-multiplication (see
+``hforge.bivar``).
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
-
-Rational = Fraction
-
-ScalarLike = Union[int, Fraction]
+from typing import Sequence
 
 
 class ExactArithError(ArithmeticError):
@@ -35,247 +31,16 @@ class PoleError(ExactArithError):
         self.var = var
 
 
-def _as_fraction(c: ScalarLike) -> Fraction:
-    if isinstance(c, Fraction):
-        return c
-    if isinstance(c, int):
-        return Fraction(c)
-    raise TypeError(f"expected an exact scalar, got {type(c).__name__}")
-
-
-class Poly:
-    """Dense univariate polynomial; ``coeffs[i]`` is the degree-``i`` coefficient.
-
-    The zero polynomial is represented by the empty coefficient tuple, so the
-    leading coefficient of any nonzero polynomial is nonzero by construction.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Iterable[ScalarLike] = ()):
-        cs = [_as_fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs: tuple[Fraction, ...] = tuple(cs)
-
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls) -> "Poly":
-        return cls(())
-
-    @classmethod
-    def one(cls) -> "Poly":
-        return cls((1,))
-
-    @classmethod
-    def const(cls, c: ScalarLike) -> "Poly":
-        return cls((c,))
-
-    @classmethod
-    def variable(cls) -> "Poly":
-        """The monomial ``s``."""
-        return cls((0, 1))
-
-    @classmethod
-    def linear(cls, shift: ScalarLike) -> "Poly":
-        """The monic linear polynomial ``s + shift``."""
-        return cls((shift, 1))
-
-    # -- basic queries -----------------------------------------------------
-
-    @property
-    def degree(self) -> int:
-        """Degree; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def is_one(self) -> bool:
-        return self.coeffs == (Fraction(1),)
-
-    @property
-    def leading(self) -> Fraction:
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    def coeff(self, i: int) -> Fraction:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else Fraction(0)
-
-    # -- arithmetic --------------------------------------------------------
-
-    def _promote(self, other) -> "Poly | None":
-        if isinstance(other, Poly):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return Poly((other,))
-        return None
-
-    def __add__(self, other):
-        o = self._promote(other)
-        if o is None:
-            return NotImplemented
-        a, b = self.coeffs, o.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Poly(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        p = Poly(())
-        p.coeffs = tuple(-c for c in self.coeffs)
-        return p
-
-    def __sub__(self, other):
-        o = self._promote(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._promote(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
-    def __mul__(self, other):
-        o = self._promote(other)
-        if o is None:
-            return NotImplemented
-        a, b = self.coeffs, o.coeffs
-        if not a or not b:
-            return Poly(())
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    out[i + j] += ca * cb
-        return Poly(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, e: int):
-        if not isinstance(e, int) or e < 0:
-            raise ValueError("polynomial powers take nonnegative integer exponents")
-        result = Poly.one()
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
-
-    def __divmod__(self, other: "Poly"):
-        o = self._promote(other)
-        if o is None:
-            return NotImplemented
-        if o.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dq = len(rem) - len(o.coeffs)
-        if dq < 0:
-            return Poly(()), self
-        quo = [Fraction(0)] * (dq + 1)
-        dcs = o.coeffs
-        inv_lead = 1 / dcs[-1]
-        for i in range(dq, -1, -1):
-            c = rem[i + len(dcs) - 1] * inv_lead
-            if c:
-                quo[i] = c
-                for j, dc in enumerate(dcs):
-                    rem[i + j] -= c * dc
-        return Poly(quo), Poly(rem)
-
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
-    def __mod__(self, other):
-        return divmod(self, other)[1]
-
-    def div_exact(self, other: "Poly") -> "Poly":
-        """Quotient by a known exact divisor; raises if a remainder survives."""
-        q, r = divmod(self, other)
-        if not r.is_zero():
-            raise ValueError("inexact polynomial division")
-        return q
-
-    def monic(self) -> "Poly":
-        if self.is_zero() or self.leading == 1:
-            return self
-        inv = 1 / self.leading
-        p = Poly(())
-        p.coeffs = tuple(c * inv for c in self.coeffs)
-        return p
-
-    def derivative(self) -> "Poly":
-        return Poly(tuple(i * c for i, c in enumerate(self.coeffs) if i))
-
-    def __call__(self, s0: ScalarLike) -> Fraction:
-        s0 = _as_fraction(s0)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * s0 + c
-        return acc
-
-    # -- comparison / display ---------------------------------------------
-
-    def __eq__(self, other):
-        o = self._promote(other)
-        if o is None:
-            return NotImplemented
-        return self.coeffs == o.coeffs
-
-    def __hash__(self):
-        return hash(("Poly", self.coeffs))
-
-    def to_str(self, var: str = "s") -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[i]
-            if not c:
-                continue
-            if i == 0:
-                mono = str(abs(c))
-            else:
-                v = var if i == 1 else f"{var}^{i}"
-                mono = v if abs(c) == 1 else f"{abs(c)}*{v}"
-            if not parts:
-                parts.append(mono if c > 0 else f"-{mono}")
-            else:
-                parts.append(f"+ {mono}" if c > 0 else f"- {mono}")
-        return " ".join(parts)
-
-    def __str__(self):
-        return self.to_str()
-
-    def __repr__(self):
-        return f"Poly({self.to_str()})"
-
-
-def _int_primitive(p: Poly) -> list[int]:
-    """Integer-coefficient primitive form (content and sign discarded)."""
-    if p.is_zero():
-        return []
-    scale = math.lcm(*(c.denominator for c in p.coeffs))
-    ints = [int(c * scale) for c in p.coeffs]
-    g = 0
-    for c in ints:
-        g = math.gcd(g, c)
-    return [c // g for c in ints]
-
-
-def _ideg(u: Sequence[int]) -> int:
-    return len(u) - 1
+def _primitive(u: Sequence[int]) -> list[int]:
+    """``u`` without trailing zeros, divided by the gcd of its entries and
+    signed so that its leading coefficient is positive."""
+    u = list(u)
+    while u and not u[-1]:
+        u.pop()
+    g = math.gcd(*u)
+    if u and u[-1] < 0:
+        g = -g
+    return [c // g for c in u]
 
 
 def _pseudo_rem(a: list[int], b: list[int]) -> list[int]:
@@ -286,10 +51,10 @@ def _pseudo_rem(a: list[int], b: list[int]) -> list[int]:
     by an integer unit times a power of lc(b), which the primitive reduction
     in the caller discards anyway.
     """
-    da, db = _ideg(a), _ideg(b)
+    db = len(b) - 1
     lead = b[-1]
     rem = list(a)
-    for i in range(da - db, -1, -1):
+    for i in range(len(a) - 1 - db, -1, -1):
         c = rem[i + db]
         if c:
             for j in range(len(rem)):
@@ -297,209 +62,23 @@ def _pseudo_rem(a: list[int], b: list[int]) -> list[int]:
             for j in range(db + 1):
                 rem[i + j] -= c * b[j]
     del rem[db:]
-    while rem and rem[-1] == 0:
-        rem.pop()
     return rem
 
 
-def _iprimitive(u: list[int]) -> list[int]:
-    g = 0
-    for c in u:
-        g = math.gcd(g, c)
-    return [c // g for c in u] if g else []
+def poly_gcd(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...]:
+    """Greatest common divisor of two integer coefficient sequences, lowest
+    degree first, as a primitive polynomial with a positive leading
+    coefficient.
 
-
-def poly_gcd(p: Poly, q: Poly) -> Poly:
-    """Monic greatest common divisor.
-
-    Conventions (documented and tested): ``poly_gcd(p, 0) = monic(p)`` and
-    ``poly_gcd(0, 0) = 0``.  Computed over integer primitive parts with a
-    primitive pseudo-remainder sequence to avoid coefficient blowup.
+    Conventions: ``poly_gcd(p, ()) == primitive(p)`` and
+    ``poly_gcd((), ()) == ()``; trailing zeros are ignored.  Computed by a
+    primitive pseudo-remainder sequence, which keeps the coefficients small.
     """
-    if p.is_zero():
-        return q.monic()
-    if q.is_zero():
-        return p.monic()
-    a, b = _int_primitive(p), _int_primitive(q)
-    if _ideg(a) < _ideg(b):
+    a, b = _primitive(p), _primitive(q)
+    if len(a) < len(b):
         a, b = b, a
     while b:
-        if _ideg(b) == 0:
-            return Poly.one()
-        r = _iprimitive(_pseudo_rem(a, b))
-        a, b = b, r
-    return Poly(a).monic()
-
-
-def poly_lcm(p: Poly, q: Poly) -> Poly:
-    if p.is_zero() or q.is_zero():
-        return Poly.zero()
-    g = poly_gcd(p, q)
-    return (p * q.div_exact(g)).monic()
-
-
-class RatFunc:
-    """Reduced univariate rational function in ``s``.
-
-    Invariants: ``gcd(num, den) = 1``, ``den`` is monic and nonzero, and zero
-    is ``0/1``.  The constructor normalizes, so normalization is idempotent
-    and structural equality coincides with semantic equality.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num, den=None):
-        num = self._coerce_poly(num)
-        den = Poly.one() if den is None else self._coerce_poly(den)
-        if den.is_zero():
-            raise ZeroDenominatorError("rational function with zero denominator")
-        if num.is_zero():
-            self.num, self.den = Poly.zero(), Poly.one()
-            return
-        g = poly_gcd(num, den)
-        if g.degree > 0:
-            num = num.div_exact(g)
-            den = den.div_exact(g)
-        lead = den.leading
-        if lead != 1:
-            inv = 1 / lead
-            num = num * inv
-            den = den * inv
-        self.num, self.den = num, den
-
-    @staticmethod
-    def _coerce_poly(v) -> Poly:
-        if isinstance(v, Poly):
-            return v
-        if isinstance(v, (int, Fraction)):
-            return Poly((v,))
-        raise TypeError(f"cannot build a rational function from {type(v).__name__}")
-
-    @classmethod
-    def normalize(cls, num, den) -> "RatFunc":
-        """Reduce ``num/den`` to canonical form (alias for the constructor)."""
-        return cls(num, den)
-
-    @classmethod
-    def from_rational(cls, c: ScalarLike) -> "RatFunc":
-        return cls(Poly.const(c))
-
-    # -- queries -----------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def is_poly(self) -> bool:
-        return self.den.is_one()
-
-    def as_constant(self) -> Fraction:
-        if self.num.degree > 0 or not self.den.is_one():
-            raise ValueError("not a constant rational function")
-        return self.num.coeff(0)
-
-    # -- arithmetic --------------------------------------------------------
-
-    def _promote(self, other) -> "RatFunc | None":
-        if isinstance(other, RatFunc):
-            return other
-        if isinstance(other, (int, Fraction, Poly)):
-            return RatFunc(other)
-        return None
-
-    def __add__(self, other):
-        o = self._promote(other)
-        if o is None:
-            return NotImplemented
-        g = poly_gcd(self.den, o.den)
-        if g.degree > 0:
-            da = self.den.div_exact(g)
-            db = o.den.div_exact(g)
-            return RatFunc(self.num * db + o.num * da, self.den * db)
-        return RatFunc(self.num * o.den + o.num * self.den, self.den * o.den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        out = RatFunc.__new__(RatFunc)
-        out.num, out.den = -self.num, self.den
-        return out
-
-    def __sub__(self, other):
-        o = self._promote(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._promote(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
-    def __mul__(self, other):
-        o = self._promote(other)
-        if o is None:
-            return NotImplemented
-        return RatFunc(self.num * o.num, self.den * o.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._promote(other)
-        if o is None:
-            return NotImplemented
-        if o.is_zero():
-            raise ZeroDenominatorError("division by the zero rational function")
-        return RatFunc(self.num * o.den, self.den * o.num)
-
-    def __rtruediv__(self, other):
-        o = self._promote(other)
-        if o is None:
-            return NotImplemented
-        return o / self
-
-    def __pow__(self, e: int):
-        if not isinstance(e, int):
-            raise ValueError("rational-function powers take integer exponents")
-        if e >= 0:
-            return RatFunc(self.num ** e, self.den ** e)
-        if self.is_zero():
-            raise ZeroDenominatorError("zero rational function has no inverse")
-        return RatFunc(self.den ** (-e), self.num ** (-e))
-
-    def derivative(self) -> "RatFunc":
-        """Formal derivative via the quotient rule, reduced."""
-        n, d = self.num, self.den
-        return RatFunc(n.derivative() * d - n * d.derivative(), d * d)
-
-    def __call__(self, s0: ScalarLike) -> Fraction:
-        s0 = _as_fraction(s0)
-        dv = self.den(s0)
-        if dv == 0:
-            # reduced form: a denominator root is never a numerator root
-            raise PoleError(s0)
-        return self.num(s0) / dv
-
-    # -- comparison / display ---------------------------------------------
-
-    def __eq__(self, other):
-        o = self._promote(other)
-        if o is None:
-            return NotImplemented
-        return self.num == o.num and self.den == o.den
-
-    def __hash__(self):
-        return hash(("RatFunc", self.num.coeffs, self.den.coeffs))
-
-    def to_str(self, var: str = "s") -> str:
-        if self.den.is_one():
-            return self.num.to_str(var)
-        num = self.num.to_str(var)
-        den = self.den.to_str(var)
-        return f"({num})/({den})"
-
-    def __str__(self):
-        return self.to_str()
-
-    def __repr__(self):
-        return f"RatFunc({self.to_str()})"
+        if len(b) == 1:
+            return (1,)
+        a, b = b, _primitive(_pseudo_rem(a, b))
+    return tuple(a)

@@ -8,18 +8,16 @@ integer-shifted arguments collapse to finite telescoping sums
     psi(s+a) - psi(s+b)   =  sum_{j=b}^{a-1}  1/(s+j)
     psi'(s+a) - psi'(s+b) = -sum_{j=b}^{a-1}  1/(s+j)^2
 
-so no transcendental constant is ever materialized.  ``binom_shift``,
-``psi_diff`` and ``psi1_diff`` give those values as reduced ``RatFunc``
-values; they are the references the tests hold the factored builders to.
+so no transcendental constant is ever materialized.
 
-The ``*_factor`` builders give the same values as
+The ``*_factor`` builders give those values as
 :class:`~hforge.bivar.FactoredFrac` with the ``(s+j)`` poles kept as shared
-denominator factors, computed on integer coefficient lists with no
-``RatFunc`` and no gcd.  ``binom_factor`` multiplies out
-``prod_j (s+a-k+j)`` and scales by ``1/k!``.  ``psi_factor``/``psi1_factor``
-take the numerator ``sign * sum_j prod_{i != j} (s+i)^m`` from integer
-telescoping ``N <- N*(s+j)^m + D``, ``D <- D*(s+j)^m``, with no division.
-It is already reduced, because every pole is distinct and has a nonzero
+denominator factors, computed on integer coefficient lists with no gcd.
+``binom_factor`` multiplies out ``prod_j (s+a-k+j)`` and scales by
+``1/k!``.  ``psi_factor``/``psi1_factor`` take the numerator
+``sign * sum_j prod_{i != j} (s+i)^m`` from integer telescoping
+``N <- N*(s+j)^m + D``, ``D <- D*(s+j)^m``, with no division.  It is
+already reduced, because every pole is distinct and has a nonzero
 residue.  All three builders are memoized process-wide; their values are
 never mutated, so one value is shared by every cell and side that asks for
 it.  Other modules register their own process-wide memos with
@@ -36,7 +34,6 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .bivar import BiPoly, FactoredFrac, times_linear
-from .exact import Poly, RatFunc
 
 
 class HarmonicCache:
@@ -106,56 +103,24 @@ def binom_int(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-def binom_shift(a: int, k: int) -> RatFunc:
-    """The shifted binomial C(s+a, k) = prod_{j=1..k} (s+a-k+j)/j.
-
-    A polynomial of degree exactly k in s (returned as a rational function
-    with denominator one).  ``a`` may be negative.
-    """
-    _check_binom(a, k)
-    num = Poly.one()
-    for j in range(1, k + 1):
-        num = num * Poly.linear(a - k + j)
-    return RatFunc(num, Poly.const(math.factorial(k)))
-
-
-def psi_diff(a: int, b: int) -> RatFunc:
-    """psi(s+a) - psi(s+b) as the telescoping sum of 1/(s+j), j in [b, a).
-
-    Oriented: requires a >= b >= 0.  Zero when a == b.  Every pole is a
-    negative integer shift -j with b <= j < a.
-    """
-    _check_oriented(a, b)
-    acc = RatFunc(Poly.zero())
-    for j in range(b, a):
-        acc = acc + RatFunc(Poly.one(), Poly.linear(j))
-    return acc
-
-
-def psi1_diff(a: int, b: int) -> RatFunc:
-    """psi'(s+a) - psi'(s+b) = -sum_{j=b}^{a-1} 1/(s+j)^2, for a >= b >= 0."""
-    _check_oriented(a, b)
-    acc = RatFunc(Poly.zero())
-    for j in range(b, a):
-        lin = Poly.linear(j)
-        acc = acc - RatFunc(Poly.one(), lin * lin)
-    return acc
-
-
 def binom_factor(shift: int, k: int) -> FactoredFrac:
-    """C(s+shift, k) as a polynomial factor in s."""
+    """C(s+shift, k) = prod_{j=1..k} (s+shift-k+j)/j, a polynomial of
+    degree k in s; ``shift`` may be negative."""
     _check_binom(shift, k)
     return _binom_factor_memo(shift, k)
 
 
 def psi_factor(a: int, b: int) -> FactoredFrac:
-    """psi(s+a) - psi(s+b) with the (s+j) poles kept as shared factors."""
+    """psi(s+a) - psi(s+b) = sum_{j=b}^{a-1} 1/(s+j), with the (s+j) poles
+    kept as shared factors.  Oriented: requires a >= b >= 0; zero when
+    a == b."""
     _check_oriented(a, b)
     return _psi_factor_memo(a, b, 1)
 
 
 def psi1_factor(a: int, b: int) -> FactoredFrac:
-    """psi'(s+a) - psi'(s+b) with squared (s+j) poles kept as factors."""
+    """psi'(s+a) - psi'(s+b) = -sum_{j=b}^{a-1} 1/(s+j)^2, with the squared
+    (s+j) poles kept as factors, for a >= b >= 0."""
     _check_oriented(a, b)
     return _psi_factor_memo(a, b, 2)
 

@@ -4,6 +4,7 @@ Each test prints "ACCEPTANCE-<k> <label>: PASS|FAIL" on the real stdout
 so the verdicts survive output capture, then asserts.
 """
 
+import math
 import random
 import re
 import time
@@ -12,19 +13,19 @@ from pathlib import Path
 
 import pytest
 
-from hforge.bivar import BiFrac, BiPoly, bifrac_eq
+from hforge.bivar import BiFrac, BiPoly, FactoredFrac, _div_exact, bifrac_eq
 from hforge.catalog import catalog as catalog_entries
 from hforge.catalog import lookup, verify_all
 from hforge.dsl import check, check_identity, load_corpus, parse_expr
-from hforge.exact import Poly, RatFunc, poly_gcd
+from hforge.exact import poly_gcd
 from hforge.oracle import degree_bound, integer_s_check, sampling_verify
 from hforge.special import (
+    binom_factor,
     binom_int,
     binom_neg3half,
-    binom_shift,
     harmonic,
-    psi1_diff,
-    psi_diff,
+    psi1_factor,
+    psi_factor,
 )
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus" / "paper.ids"
@@ -111,18 +112,22 @@ def test_acceptance_2_spot_values(announce):
     assert announce(2, "frozen spot values", ok)
 
 
+def value_at(f: FactoredFrac, s0: Fraction) -> Fraction:
+    return f.to_bifrac().subst_s(s0).as_constant()
+
+
 def test_acceptance_3_half_integer_reductions(announce):
     ok = True
     for k in range(0, 21):
         want = Fraction((-1) ** k, 4 ** k) * binom_int(2 * k, k)
-        ok = ok and binom_shift(0, k)(-HALF) == want
+        ok = ok and value_at(binom_factor(0, k), -HALF) == want
     for n in range(0, 21):
-        ok = ok and binom_shift(-1, n)(-HALF) == binom_neg3half(n)
+        ok = ok and value_at(binom_factor(-1, n), -HALF) == binom_neg3half(n)
     for k in range(1, 21):
-        got = psi_diff(k, 0)(HALF - k)
+        got = value_at(psi_factor(k, 0), HALF - k)
         ok = ok and got == harmonic(k) - 2 * harmonic(2 * k)
     for n in range(1, 21):
-        got = psi_diff(n, 0)(Fraction(-2 * n - 1, 2))
+        got = value_at(psi_factor(n, 0), Fraction(-2 * n - 1, 2))
         want = Fraction(4 * n, 2 * n + 1) - 2 * harmonic(2 * n) + harmonic(n)
         ok = ok and got == want
     assert announce(3, "half-integer reductions", ok)
@@ -236,16 +241,33 @@ def test_acceptance_7_dsl_corpus(full_sweep, announce):
 def test_acceptance_8_kernel_property_suites(announce):
     rng = random.Random(20260822)
 
-    def poly(max_deg=3, span=5):
-        return Poly(
-            [Fraction(rng.randint(-span, span)) for _ in range(rng.randint(0, max_deg + 1))]
-        )
+    def bipoly(max_deg=2, span=5):
+        terms = {
+            (rng.randint(0, max_deg), rng.randint(0, max_deg)):
+                Fraction(rng.randint(-span, span), rng.randint(1, 3))
+            for _ in range(rng.randint(0, 4))
+        }
+        return BiPoly(terms)
 
-    def nonzero_poly():
-        p = poly()
+    def nonzero_bipoly():
+        p = bipoly()
         while p.is_zero():
-            p = poly()
+            p = bipoly()
         return p
+
+    def factored():
+        """A nonzero numerator over s + j, x + 1 and general factors."""
+        den = []
+        for _ in range(rng.randint(0, 3)):
+            kind = rng.randint(0, 2)
+            if kind == 0:
+                f = BiPoly.s() + rng.randint(-3, 3)
+            elif kind == 1:
+                f = (BiPoly.x() + 1).scale(rng.choice((-2, -1, 1, 3)))
+            else:
+                f = nonzero_bipoly()
+            den.append((f, rng.randint(1, 2)))
+        return FactoredFrac(nonzero_bipoly(), den)
 
     def bifrac():
         terms = {
@@ -256,26 +278,55 @@ def test_acceptance_8_kernel_property_suites(announce):
         den = BiPoly({(rng.randint(0, 2), rng.randint(0, 2)): Fraction(rng.randint(1, 4))})
         return BiFrac(num, den)
 
+    def int_poly(max_deg=3, span=5):
+        row = [rng.randint(-span, span) for _ in range(rng.randint(1, max_deg + 1))]
+        row[-1] = row[-1] or 1
+        return row
+
+    def quotient(a, g):
+        try:
+            return _div_exact(a, g)
+        except ValueError:
+            return None
+
     ok = True
 
-    # ring and field axioms
+    # ring laws on BiPoly
     for _ in range(1000):
-        p, q, r = poly(), poly(), poly()
+        p, q, r = bipoly(), bipoly(), bipoly()
         ok = ok and p + q == q + p and p * q == q * p
         ok = ok and (p + q) + r == p + (q + r) and (p * q) * r == p * (q * r)
         ok = ok and p * (q + r) == p * q + p * r
-        f = RatFunc(nonzero_poly(), nonzero_poly())
-        ok = ok and (f * (1 / f)).as_constant() == 1 and f - f == RatFunc(Poly.zero())
+        ok = ok and p - p == 0 and p + 0 == p and p * 1 == p
 
-    # gcd and normalization idempotence
+    # field laws on FactoredFrac and BiFrac
     for _ in range(1000):
-        p, q = nonzero_poly(), nonzero_poly()
-        g = poly_gcd(p, q)
-        ok = ok and g.leading == 1 and (p % g).is_zero() and (q % g).is_zero()
-        ok = ok and poly_gcd(p, q) == poly_gcd(q, p)
-        f = RatFunc(p, q)
-        c = Poly.const(Fraction(rng.randint(1, 5)))
-        ok = ok and RatFunc(p * c, q * c) == f and RatFunc(f.num, f.den) == f
+        f = factored()
+        ok = ok and (f * f.inverse()).to_bifrac() == 1 and (f - f).is_zero()
+        g = bifrac()
+        if not g.is_zero():
+            ok = ok and g * (1 / g) == 1
+        ok = ok and g - g == 0
+
+    # the content x primitive form is unique; the integer gcd divides both
+    # operands, is symmetric, and leaves coprime cofactors
+    for _ in range(1000):
+        p = nonzero_bipoly()
+        c = Fraction(rng.choice((-1, 1)) * rng.randint(1, 6), rng.randint(1, 6))
+        q = p.scale(c)
+        rebuilt = BiPoly({key: v * c for key, v in p.terms.items()})
+        ok = ok and q == rebuilt and hash(q) == hash(rebuilt)
+        ok = ok and q.content() == p.content() * abs(c) > 0
+        ints = [v / q.content() for v in q.terms.values()]
+        ok = ok and all(v.denominator == 1 for v in ints)
+        ok = ok and math.gcd(*(v.numerator for v in ints)) == 1
+        h, u, v = int_poly(max_deg=2), int_poly(), int_poly()
+        a, b = _times(h, u), _times(h, v)
+        g = poly_gcd(a, b)
+        ok = ok and g == poly_gcd(b, a) and g[-1] > 0
+        cofactors = [quotient(a, g), quotient(b, g)]
+        ok = ok and None not in cofactors and poly_gcd(*cofactors) == (1,)
+        ok = ok and quotient(g, poly_gcd(h, ())) is not None
 
     # cross-multiplied equality is an equivalence relation
     for _ in range(1000):
@@ -288,21 +339,40 @@ def test_acceptance_8_kernel_property_suites(announce):
         ok = ok and bifrac_eq(a, c)
         ok = ok and bifrac_eq(a, other) == bifrac_eq(other, a)
 
-    # telescoping composition of digamma differences
+    # telescoping of digamma differences, from the one-step difference
+    s = FactoredFrac.var_s()
     for _ in range(1000):
         b = rng.randint(0, 6)
         c = b + rng.randint(0, 6)
         a = c + rng.randint(0, 6)
-        ok = ok and psi_diff(a, b) == psi_diff(a, c) + psi_diff(c, b)
-        ok = ok and psi1_diff(a, b) == psi1_diff(a, c) + psi1_diff(c, b)
-        ok = ok and psi_diff(a, b).derivative() == psi1_diff(a, b)
+        ok = ok and _same(psi_factor(a, b), psi_factor(a, c) + psi_factor(c, b))
+        ok = ok and _same(psi1_factor(a, b), psi1_factor(a, c) + psi1_factor(c, b))
+        derivative = psi_factor(a, b).to_bifrac().deriv_s()
+        ok = ok and bifrac_eq(derivative, psi1_factor(a, b).to_bifrac())
+        ok = ok and _same(psi_factor(b + 1, b), (s + b).inverse())
+        ok = ok and _same(psi1_factor(b + 1, b), -((s + b) ** -2))
 
-    # Pascal and absorption for shifted binomials
-    s = RatFunc(Poly([0, 1]))
+    # Pascal and absorption for shifted binomials, from C(s+a, 0) = 1
     for _ in range(1000):
         a = rng.randint(-6, 6)
         k = rng.randint(1, 8)
-        ok = ok and binom_shift(a + 1, k) == binom_shift(a, k) + binom_shift(a, k - 1)
-        ok = ok and binom_shift(a, k) == (s + a) / k * binom_shift(a - 1, k - 1)
+        pascal = binom_factor(a, k) + binom_factor(a, k - 1)
+        ok = ok and _same(binom_factor(a + 1, k), pascal)
+        absorbed = (s + a) * Fraction(1, k) * binom_factor(a - 1, k - 1)
+        ok = ok and _same(binom_factor(a, k), absorbed)
+        ok = ok and binom_factor(a, 0).to_bifrac() == 1
 
     assert announce(8, "kernel property suites", ok)
+
+
+def _same(f: FactoredFrac, g: FactoredFrac) -> bool:
+    return bifrac_eq(f.to_bifrac(), g.to_bifrac())
+
+
+def _times(a, b):
+    """The product of two integer coefficient lists, by the definition."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, u in enumerate(a):
+        for j, v in enumerate(b):
+            out[i + j] += u * v
+    return out

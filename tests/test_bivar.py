@@ -19,7 +19,7 @@ from hforge.bivar import (
     cross_difference,
     ffsum,
 )
-from hforge.exact import PoleError, Poly, RatFunc, ZeroDenominatorError
+from hforge.exact import PoleError, ZeroDenominatorError, poly_gcd
 from hforge.special import binom_factor, psi_factor
 
 keys = st.tuples(st.integers(0, 3), st.integers(0, 3))
@@ -33,6 +33,11 @@ def rand_bipoly(rng, max_deg=2, span=5):
         key = (rng.randint(0, max_deg), rng.randint(0, max_deg))
         terms[key] = Fraction(rng.randint(-span, span))
     return BiPoly(terms)
+
+
+def rand_s_poly(rng, max_deg=3, span=5):
+    row = [rng.randint(-span, span) for _ in range(rng.randint(0, max_deg + 1))]
+    return BiPoly.from_rows((row,), Fraction(rng.randint(1, 4), rng.randint(1, 4)))
 
 
 def rand_bifrac(rng):
@@ -53,10 +58,6 @@ class TestBiPoly:
         assert p.deg_x == 2 and p.deg_s == 1
         assert p.min_x() == 0 and p.min_s() == 0
         assert BiPoly.x().min_x() == 1
-
-    def test_promotion_from_univariate(self):
-        assert BiPoly.from_s_poly(Poly([1, 1])) == BiPoly.s() + BiPoly.one()
-        assert BiPoly.from_x_poly(Poly([0, 0, 1])) == BiPoly.x(2)
 
     def test_scalar_mixing(self):
         p = BiPoly.x() + 1
@@ -86,12 +87,6 @@ class TestBiPoly:
     def test_shift_down_divides_monomials(self):
         p = BiPoly.x(2) * BiPoly.s(3)
         assert p.shift_down(1, 2) == BiPoly.x() * BiPoly.s()
-
-    def test_univariate_extraction(self):
-        assert (BiPoly.s(2) + BiPoly.one()).to_s_poly() == Poly([1, 0, 1])
-        assert (BiPoly.x() * 2).to_x_poly() == Poly([0, 2])
-        with pytest.raises(ValueError):
-            (BiPoly.x() + BiPoly.s()).to_s_poly()
 
     def test_deriv_s(self):
         p = BiPoly.s(3) * BiPoly.x()
@@ -146,14 +141,16 @@ class TestBiFrac:
 
     def test_promotions(self):
         assert BiFrac.from_rational(Fraction(1, 2)).as_constant() == Fraction(1, 2)
-        rf = RatFunc(Poly([1, 1]), Poly([0, 1]))
-        bf = BiFrac.from_ratfunc(rf)
-        assert bf.to_ratfunc() == rf
+        b = BiFrac(BiPoly.s() + 1, BiPoly.s())
+        assert b - 1 == BiFrac(BiPoly.one(), BiPoly.s())
+        assert b * BiPoly.s() == BiPoly.s() + 1
+        assert Fraction(1, 2) + b == BiFrac(BiPoly.s() * 3 + 2, BiPoly.s() * 2)
+        assert b.__add__("1") is NotImplemented
 
-    def test_to_ratfunc_requires_x_free(self):
-        b = BiFrac(BiPoly.x(), BiPoly.s())
-        with pytest.raises(ValueError):
-            b.to_ratfunc()
+    def test_lowest_terms_requires_x_free(self):
+        for b in (BiFrac(BiPoly.x(), BiPoly.s()), BiFrac(BiPoly.s(), BiPoly.x() + 1)):
+            with pytest.raises(ValueError):
+                b.lowest_terms()
 
     def test_subst_cancels_removable_zeros(self):
         b = BiFrac(BiPoly.x() - 1, BiPoly.x(2) - 1)
@@ -199,6 +196,38 @@ class TestBiFrac:
 
     def test_string_form(self):
         assert str(BiFrac(BiPoly.x(), BiPoly.s()) + 1) == "(x + s) / (s)"
+
+
+class TestLowestTerms:
+    """``BiFrac.lowest_terms``: the display form of an x-free value."""
+
+    def test_known_cases(self):
+        s = BiPoly.s()
+        cases = [
+            (BiFrac(s + 1, s * 2 + 2), "1/2", "1"),
+            (BiFrac(BiPoly.one(), s * 3 + 6), "1/3", "s + 2"),
+            (BiFrac(s * s - 1, (s - 1) * (s + 3)), "s + 1", "s + 3"),
+            (BiFrac(-s, -s - 1), "s", "s + 1"),
+            (BiFrac(BiPoly.const(2), s * s * 4 - 1), "1/2", "s^2 - 1/4"),
+            (BiFrac(BiPoly.zero(), s), "0", "1"),
+        ]
+        for value, num, den in cases:
+            got = value.lowest_terms()
+            assert (str(got[0]), str(got[1])) == (num, den), value
+
+    def test_reduced_monic_and_equal_to_the_value(self):
+        rng = random.Random(67)
+        for _ in range(200):
+            p, q, g = (rand_s_poly(rng) for _ in range(3))
+            if q.is_zero() or g.is_zero():
+                continue
+            value = BiFrac(p * g, q * g)
+            num, den = value.lowest_terms()
+            assert BiFrac(num, den) == value
+            assert den.terms[(0, den.deg_s)] == 1
+            if not num.is_zero():
+                assert poly_gcd(num._r[0], den._r[0]) == (1,)
+            assert (num, den) == BiFrac(p, q).lowest_terms()
 
 
 def test_bifrac_eq_is_an_equivalence_relation():
@@ -388,7 +417,7 @@ class TestKeyedDenominator:
     @staticmethod
     def twin_factors(j=3):
         a = BiPoly.s() + j
-        b = BiPoly.from_s_poly(Poly.linear(j))
+        b = BiPoly.from_rows(((j, 1),))
         assert a is not b and a == b and hash(a) == hash(b)
         return a, b
 
@@ -443,7 +472,7 @@ class TestKeyedDenominator:
             FactoredFrac(-s3).inverse(),
             FactoredFrac(BiPoly.one(), [(s3, 1)]),
             FactoredFrac(BiPoly.one(), [(s3.scale(2), 1)]),
-            FactoredFrac(BiPoly.one(), [(BiPoly.from_s_poly(Poly.linear(3)), 1)]),
+            FactoredFrac(BiPoly.one(), [(BiPoly.from_ints({(0, 0): 3, (0, 1): 1}), 1)]),
             (FactoredFrac.var_s() + 3).inverse(),
         ]
         assert [list(f._f.items()) for f in routes] == [[(3, 1)]] * len(routes)

@@ -250,6 +250,26 @@ class TestEvalCommand:
         r = invoke(runner, "eval", "CS(2,1)")
         assert r.output.strip() == "s + 2"
 
+    @pytest.mark.parametrize(
+        "args, printed",
+        [
+            (["PSID(4,0)"], "(4*s^3 + 18*s^2 + 22*s + 6)/(s^4 + 6*s^3 + 11*s^2 + 6*s)"),
+            (
+                ["PSI1D(3,0)"],
+                "(-3*s^4 - 12*s^3 - 18*s^2 - 12*s - 4)"
+                "/(s^6 + 6*s^5 + 13*s^4 + 12*s^3 + 4*s^2)",
+            ),
+            (["CS(n,2)", "--n", "3"], "1/2*s^2 + 5/2*s + 3"),
+            (["(s+1)/(2*s+2)"], "1/2"),
+            (["1/(3*s+6)"], "(1/3)/(s + 2)"),
+            (["x*PSID(2,0)"], "(2*x*s + x) / (s^2 + s)"),
+        ],
+    )
+    def test_values_print_in_lowest_terms(self, runner, args, printed):
+        r = invoke(runner, "eval", *args)
+        assert r.exit_code == 0
+        assert r.output == printed + "\n"
+
     def test_substitution(self, runner):
         r = invoke(runner, "eval", "PSID(3,1)", "--s", "0")
         assert r.output.strip() == "3/2"

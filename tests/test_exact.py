@@ -1,229 +1,89 @@
-"""Dense polynomial and reduced rational function kernel."""
+"""The exact layer: its error classes and the integer polynomial gcd."""
 
 import random
-from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from hforge.exact import (
-    ExactArithError,
-    PoleError,
-    Poly,
-    RatFunc,
-    ZeroDenominatorError,
-    poly_gcd,
-    poly_lcm,
-)
-
-small_fracs = st.fractions(
-    min_value=-8, max_value=8, max_denominator=6
-)
-polys = st.lists(small_fracs, max_size=5).map(Poly)
-nonzero_polys = polys.filter(lambda p: not p.is_zero())
+from hforge.bivar import BiFrac, BiPoly, _div_exact
+from hforge.exact import ExactArithError, PoleError, ZeroDenominatorError, poly_gcd
 
 
-def rand_poly(rng, max_deg=4, span=6):
-    return Poly([Fraction(rng.randint(-span, span)) for _ in range(rng.randint(0, max_deg + 1))])
+def rand_row(rng, max_deg=3, span=6):
+    return [rng.randint(-span, span) for _ in range(rng.randint(0, max_deg + 1))]
 
 
-class TestPolyBasics:
-    def test_trailing_zeros_are_trimmed(self):
-        assert Poly([1, 2, 0, 0]) == Poly([1, 2])
-        assert Poly([0, 0]).is_zero()
-
-    def test_degree_conventions(self):
-        assert Poly.zero().degree == -1
-        assert Poly.const(5).degree == 0
-        assert Poly.variable().degree == 1
-        assert Poly([1, 0, 3]).degree == 2
-
-    def test_builders(self):
-        assert Poly.one() == Poly([1])
-        assert Poly.linear(-2) == Poly([-2, 1])
-        assert Poly.variable()(7) == 7
-        assert Poly.const(Fraction(1, 3)).leading == Fraction(1, 3)
-
-    def test_mixed_scalar_arithmetic(self):
-        p = Poly([1, 1])
-        assert p + 1 == Poly([2, 1])
-        assert 1 + p == Poly([2, 1])
-        assert 2 * p == Poly([2, 2])
-        assert p - Fraction(1, 2) == Poly([Fraction(1, 2), 1])
-        assert 1 - p == Poly([0, -1])
-
-    def test_pow_rejects_bad_exponents(self):
-        with pytest.raises(ValueError):
-            Poly([1, 1]) ** -1
-        with pytest.raises(ValueError):
-            Poly([1]) ** 1.5
-
-    def test_evaluation_is_a_homomorphism(self):
-        rng = random.Random(7)
-        for _ in range(50):
-            p, q = rand_poly(rng), rand_poly(rng)
-            t = Fraction(rng.randint(-5, 5), rng.randint(1, 5))
-            assert (p + q)(t) == p(t) + q(t)
-            assert (p * q)(t) == p(t) * q(t)
-
-    def test_str_round_trip_forms(self):
-        assert str(Poly([1, 2, 1])) == "s^2 + 2*s + 1"
-        assert str(Poly([Fraction(3, 2)])) == "3/2"
-        assert Poly([1, 0, 2]).to_str("x") == "2*x^2 + 1"
-        assert str(Poly.zero()) == "0"
-
-    def test_derivative_product_rule(self):
-        rng = random.Random(11)
-        for _ in range(30):
-            p, q = rand_poly(rng), rand_poly(rng)
-            lhs = (p * q).derivative()
-            assert lhs == p.derivative() * q + p * q.derivative()
+def times(a, b):
+    """The product of two integer coefficient lists, by the definition."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, u in enumerate(a):
+        for j, v in enumerate(b):
+            out[i + j] += u * v
+    return out
 
 
-class TestPolyDivision:
-    def test_divmod_invariant(self):
-        rng = random.Random(3)
-        for _ in range(60):
-            a = rand_poly(rng, max_deg=5)
-            b = rand_poly(rng, max_deg=3)
-            if b.is_zero():
-                continue
-            q, r = divmod(a, b)
-            assert a == q * b + r
-            assert r.degree < b.degree
+def trimmed(a):
+    a = list(a)
+    while a and not a[-1]:
+        a.pop()
+    return a
 
-    def test_div_exact_requires_exactness(self):
-        p = Poly([1, 2, 1])
-        assert p.div_exact(Poly([1, 1])) == Poly([1, 1])
-        with pytest.raises(ValueError):
-            Poly([1, 1]).div_exact(Poly([0, 1]))
 
-    def test_monic_scales_leading_to_one(self):
-        p = Poly([2, 4, 2])
-        assert p.monic() == Poly([1, 2, 1])
-        assert Poly.zero().monic().is_zero()
+class TestErrors:
+    def test_pole_error_carries_location(self):
+        b = BiFrac(BiPoly.s(), BiPoly.s() + 1)
+        with pytest.raises(PoleError) as exc:
+            b.subst_s(-1)
+        assert exc.value.point == -1
+        assert exc.value.var == "s"
+        assert str(exc.value) == "evaluation at pole s = -1"
+        assert isinstance(exc.value, ExactArithError)
+        assert isinstance(exc.value, ArithmeticError)
+
+    def test_zero_denominator_raises(self):
+        with pytest.raises(ZeroDenominatorError):
+            BiFrac(BiPoly.one(), BiPoly.zero())
+        assert issubclass(ZeroDenominatorError, ExactArithError)
 
 
 class TestGcd:
     def test_known_gcd(self):
-        assert poly_gcd(Poly([1, 2, 1]), Poly([1, 1])) == Poly([1, 1])
-        assert poly_gcd(Poly([-1, 0, 1]), Poly([1, 1])) == Poly([1, 1])
+        assert poly_gcd((1, 2, 1), (1, 1)) == (1, 1)
+        assert poly_gcd((-1, 0, 1), (1, 1)) == (1, 1)
+        # (2s + 2)(s - 3) and (4s + 4)(s + 5) share s + 1
+        assert poly_gcd((-6, -4, 2), (20, 24, 4)) == (1, 1)
+        assert poly_gcd((6, 5, 1), (-12, -7, -1)) == (3, 1)
+        assert poly_gcd((1, 1), (0, 1)) == (1,)
 
-    def test_gcd_divides_both_and_is_monic(self):
+    def test_zero_conventions(self):
+        assert poly_gcd((), ()) == ()
+        assert poly_gcd((0, 0), ()) == ()
+        assert poly_gcd((4, -6, 0), ()) == (-2, 3)
+        assert poly_gcd((), (0, -3)) == (0, 1)
+        assert poly_gcd((5,), ()) == (1,)
+        assert poly_gcd((5,), (7, 1)) == (1,)
+
+    def test_gcd_divides_both_and_is_primitive(self):
         rng = random.Random(19)
-        for _ in range(60):
-            p, q = rand_poly(rng), rand_poly(rng)
-            if p.is_zero() and q.is_zero():
-                continue
+        for _ in range(200):
+            p, q = trimmed(rand_row(rng)), trimmed(rand_row(rng))
             g = poly_gcd(p, q)
-            assert g.is_zero() or g.leading == 1
-            if not g.is_zero():
-                assert (p % g).is_zero()
-                assert (q % g).is_zero()
+            assert g == poly_gcd(q, p)
+            if not p and not q:
+                assert g == ()
+                continue
+            assert g[-1] > 0 and poly_gcd(g, ()) == g
+            cofactors = [_div_exact(p, g), _div_exact(q, g)]
+            assert [times(c, g) for c in cofactors] == [p, q]
+            assert poly_gcd(*cofactors) == (1,)
 
     def test_common_factor_is_recovered(self):
         rng = random.Random(23)
-        for _ in range(40):
-            g = rand_poly(rng, max_deg=2)
-            if g.is_zero():
+        for _ in range(100):
+            g, u, v = (trimmed(rand_row(rng, max_deg=2)) for _ in range(3))
+            if not (g and u and v):
                 continue
-            p = g * rand_poly(rng, max_deg=2)
-            q = g * rand_poly(rng, max_deg=2)
-            got = poly_gcd(p, q)
-            if not got.is_zero():
-                assert (got % g.monic()).is_zero() or g.degree == 0
-
-    def test_lcm_times_gcd_matches_product(self):
-        rng = random.Random(29)
-        for _ in range(40):
-            p, q = rand_poly(rng), rand_poly(rng)
-            if p.is_zero() or q.is_zero():
-                continue
-            g, l = poly_gcd(p, q), poly_lcm(p, q)
-            assert (g * l).monic() == (p * q).monic()
-
-
-class TestRatFunc:
-    def test_normalization_reduces_and_makes_den_monic(self):
-        r = RatFunc(Poly([0, 2]), Poly([2, 2]))
-        assert r == RatFunc(Poly([0, 1]), Poly([1, 1]))
-        assert r.den.leading == 1
-        assert str(r) == "(s)/(s + 1)"
-
-    def test_sign_normalization(self):
-        assert RatFunc(Poly([0, -1]), Poly([-1, -1])) == RatFunc(
-            Poly([0, 1]), Poly([1, 1])
-        )
-
-    def test_zero_denominator_raises(self):
-        with pytest.raises(ZeroDenominatorError):
-            RatFunc(Poly.one(), Poly.zero())
-
-    def test_pole_error_carries_location(self):
-        r = RatFunc(Poly([0, 1]), Poly([1, 1]))
-        with pytest.raises(PoleError) as exc:
-            r(-1)
-        assert exc.value.point == -1
-        assert exc.value.var == "s"
-        assert isinstance(exc.value, ExactArithError)
-        assert isinstance(exc.value, ArithmeticError)
-
-    def test_constant_detection(self):
-        assert RatFunc.from_rational(Fraction(3, 4)).as_constant() == Fraction(3, 4)
-        with pytest.raises(ValueError):
-            RatFunc(Poly([0, 1])).as_constant()
-        assert RatFunc(Poly([1, 1])).is_poly()
-        assert not RatFunc(Poly.one(), Poly([0, 1])).is_poly()
-
-    def test_reflected_operators(self):
-        s = RatFunc(Poly([0, 1]))
-        assert 1 - s == RatFunc(Poly([1, -1]))
-        assert str(2 / s) == "(2)/(s)"
-        assert 1 + s == s + 1
-
-    def test_negative_powers_invert(self):
-        s = RatFunc(Poly([0, 1]))
-        assert s ** -2 == RatFunc(Poly.one(), Poly([0, 0, 1]))
-        assert (s ** 0).as_constant() == 1
-        with pytest.raises(ZeroDenominatorError):
-            RatFunc(Poly.zero()) ** -1
-
-    def test_derivative_quotient_rule(self):
-        rng = random.Random(31)
-        for _ in range(25):
-            num, den = rand_poly(rng), rand_poly(rng)
-            if den.is_zero():
-                continue
-            r = RatFunc(num, den)
-            expect = RatFunc(
-                num.derivative() * den - num * den.derivative(), den * den
-            )
-            assert r.derivative() == expect
-
-    def test_hash_consistent_with_eq(self):
-        a = RatFunc(Poly([0, 2]), Poly([2]))
-        b = RatFunc(Poly([0, 1]))
-        assert a == b and hash(a) == hash(b)
-
-
-@given(polys, polys, polys)
-@settings(max_examples=60, deadline=None)
-def test_poly_ring_axioms(p, q, r):
-    assert p + q == q + p
-    assert (p + q) + r == p + (q + r)
-    assert p * q == q * p
-    assert (p * q) * r == p * (q * r)
-    assert p * (q + r) == p * q + p * r
-    assert p + Poly.zero() == p
-    assert p * Poly.one() == p
-    assert p + (-p) == Poly.zero()
-
-
-@given(nonzero_polys, nonzero_polys)
-@settings(max_examples=40, deadline=None)
-def test_ratfunc_field_inverses(p, q):
-    r = RatFunc(p, q)
-    assert (r * (1 / r)).as_constant() == 1
-    assert (r / r).as_constant() == 1
-    assert r - r == RatFunc(Poly.zero())
+            got = poly_gcd(times(g, u), times(g, v))
+            # primitive parts multiply to a primitive part (Gauss's lemma)
+            assert _div_exact(got, poly_gcd(g, ())) == poly_gcd(u, v)
