@@ -4,9 +4,8 @@ Two oracles that evaluate the catalog's own statements, each side's
 checked tree (``Side.ast``), with arithmetic of their own:
 
 * deterministic grid sampling: both sides are computed at enough
-  positive integer points to pin down the cross-multiplied difference
-  polynomial (agreement everywhere on such a grid proves the per-n
-  identity);
+  positive integer points to pin down the numerator of their difference
+  (agreement everywhere on such a grid proves the per-n identity);
 * integer-point evaluation, where every digamma difference collapses to
   a difference of harmonic numbers and no rational-function value is
   ever constructed.
@@ -35,6 +34,16 @@ grown on demand; one context per integer s, memoized process-wide,
 serves every cell of a sweep, ``point_memo_info`` reports its use and
 ``special.clear_memos`` empties it.
 
+How many points a cell needs comes from its statements: ``degree_bound``
+runs the degree-and-pole analysis of ``hforge.degrees`` on both sides and
+bounds the degrees in s and x of the numerator of L - R over the lcm of
+their denominators.  The checked root domains of the sides settle some
+cells with no analysis: sides free of s and x need one point, and the x
+grid of ``integer_s_check`` needs the analysis only when a side carries
+x.  A denominator key that vanishes on the grid raises
+``ZeroDivisionError``, as a pole met in a walk does; neither ever passes.
+The analysis runs once per cell and process, whichever oracle asks.
+
 A sampling grid (s = 1..M with M > 1, the grids of ``sampling_verify``)
 also shares the sub-products of the sides (see ``dsl.compiled``) that
 are free of x, in a process-wide memo keyed by source text and bindings:
@@ -58,6 +67,7 @@ from itertools import repeat
 from typing import Mapping
 
 from .catalog import IdentityEntry, Side, lookup
+from .dsl.checker import BIFRAC, RATFUNC
 from .dsl.compiled import compiled
 from .report import Report, ReportRow
 from .special import (
@@ -379,6 +389,27 @@ def _map(fn, a):
     return fn(a)
 
 
+def _scalar_call(func: str, args: list[int]):
+    """The value of a builtin free of s and x (H, Hr, C); None for CS,
+    PSID and PSI1D, once their arguments are checked."""
+    if func == "H":
+        return _rat(harmonic(*args))
+    if func == "Hr":
+        return _rat(harmonic_gen(*args))
+    if func == "C":
+        return binom_int(*args)
+    a, b = args
+    if func == "CS":
+        if b < 0:
+            raise ValueError(f"CS needs a nonnegative bottom, got {b}")
+    elif func in ("PSID", "PSI1D"):
+        if not a >= b >= 0:
+            raise ValueError(f"{func} needs a >= b >= 0, got {a}, {b}")
+    else:
+        raise ValueError(f"unknown builtin {func!r}")
+    return None
+
+
 def _at(value, i: int, j: int):
     """The value at the grid point (s_i, x_j)."""
     if type(value) is list:
@@ -403,7 +434,16 @@ class _Grid:
     neg = functools.partial(_map, operator.neg)
     add = functools.partial(_lift, operator.add)
     sub = functools.partial(_lift, operator.sub)
-    mul = functools.partial(_lift, operator.mul)
+
+    @staticmethod
+    def mul(a, b):
+        """A product; one by the int 1 or -1, such as a ``(-1)^k``, is the
+        other operand or its negation, with no multiplication."""
+        if type(a) is int and (a == 1 or a == -1):
+            return b if a == 1 else _map(operator.neg, b)
+        if type(b) is int and (b == 1 or b == -1):
+            return a if b == 1 else _map(operator.neg, a)
+        return _lift(operator.mul, a, b)
 
     def __init__(self, ctxs, xs, shared: bool = False):
         self.ctxs = ctxs
@@ -441,24 +481,15 @@ class _Grid:
         return _map(lambda v: v ** e, a)
 
     def call(self, func: str, args: list[int], span):
-        if func == "H":
-            return _rat(harmonic(*args))
-        if func == "Hr":
-            return _rat(harmonic_gen(*args))
-        if func == "C":
-            return binom_int(*args)
+        value = _scalar_call(func, args)
+        if value is not None:
+            return value
         a, b = args
         if func == "CS":
-            if b < 0:
-                raise ValueError(f"CS needs a nonnegative bottom, got {b}")
             return [ctx.binom(a, b) for ctx in self.ctxs]
-        if not a >= b >= 0:
-            raise ValueError(f"{func} needs a >= b >= 0, got {a}, {b}")
         if func == "PSID":
             return [ctx.psi(a, b) for ctx in self.ctxs]
-        if func == "PSI1D":
-            return [ctx.psi1(a, b) for ctx in self.ctxs]
-        raise ValueError(f"unknown builtin {func!r}")
+        return [ctx.psi1(a, b) for ctx in self.ctxs]
 
     def power_sum(self, base, terms, span):
         """By Horner's rule at each x when the base is an x-only value and
@@ -485,6 +516,19 @@ def _walk(side: Side, n: int, params: Params, ctxs=(), xs=(), shared=False):
     return compiled(side.ast)(_Grid(ctxs, xs, shared), {**params, "n": n})
 
 
+def _derived(lhs: Side, rhs: Side, n: int, params: Params):
+    """``degrees.cell_bound`` of a cell, with no walk when the sides' root
+    domains (``dsl.checker``) settle it: free of s and x, the difference
+    has degree 0 in both."""
+    if {lhs.ast.domain, rhs.ast.domain}.isdisjoint((RATFUNC, BIFRAC)):
+        return (0, 0), ((), ())
+    # imported on first use, so that a process that only imports the
+    # oracle does not compile the analysis
+    from .degrees import cell_bound
+
+    return cell_bound(lhs, rhs, n, tuple(sorted(params.items())))
+
+
 # ---------------------------------------------------------------------------
 # Certificates and checks
 # ---------------------------------------------------------------------------
@@ -506,32 +550,14 @@ class SampleCertificate:
 
 
 def degree_bound(entry: IdentityEntry, n: int) -> tuple[int, int]:
-    """Safe (bound_s, bound_x) overestimates for the cross-multiplied
-    difference of the two sides; monotone in n.
-
-    Only a constant (domain Q) entry gets (0, 0) without a line of its
-    own: an s- or x-dependent entry missing here raises ``ValueError``
-    rather than being "proved" from a single point."""
+    """(bs, bx) of the entry's sides at n, its default right side and no
+    parameters: bounds on the degrees in s and in x of the numerator of
+    L - R over the lcm of the two sides' denominators, derived from the
+    statements (``hforge.degrees``).  Agreement on a grid of bs+1 values
+    of s by bx+1 values of x proves the identity."""
     if n < entry.n_min:
         raise ValueError(f"n must be >= {entry.n_min} for {entry.tag}")
-    tag = entry.tag
-    if tag == "THM-2.1":
-        return 2 * n, 2 * n
-    if tag in ("THM-2.2",):
-        return 3 * n + 2, 2 * n + 1
-    if tag in ("THM-2.4",):
-        return 5 * n + 2, 2 * n + 1
-    if tag in ("COR-2.3", "THM-2.7", "THM-2.10"):
-        return 3 * n + 2, 0
-    if tag in ("COR-2.5", "THM-2.8", "THM-2.11"):
-        return 5 * n + 2, 0
-    if tag in ("THM-2.6", "THM-2.9", "ID-1", "ID-2"):
-        return n + 2, 0
-    if tag in ("ID-7", "ID-9"):
-        return 0, 2 * n + 1
-    if entry.domain == "Q":
-        return 0, 0
-    raise ValueError(f"no degree bound for {tag} over {entry.domain}")
+    return _derived(entry.lhs, entry.rhs, n, {})[0]
 
 
 def sampling_verify(
@@ -544,15 +570,22 @@ def sampling_verify(
     bound; all-equal on the full grid proves the per-n identity."""
     params = dict(params or {})
     entry.validate(n, params)
-    bs, bx = degree_bound(entry, n)
     rhs = entry.rhs_for(variant)
+    (bs, bx), poles = _derived(entry.lhs, rhs, n, params)
     ctxs = [_point_ctx(sv) for sv in range(1, bs + 2)]
     xs = [Fraction(xv) for xv in range(1, bx + 2)]
-    # the proof needs a positive grid of at least (bs+1) x (bx+1) points
+    # the proof needs a positive grid of at least (bs+1) x (bx+1) points,
+    # none of them at a pole
     if min(ctx.s for ctx in ctxs) <= 0 or min(xs) <= 0:
         raise RuntimeError(f"{entry.tag}: sample points must be positive")
     if len(ctxs) * len(xs) < (bs + 1) * (bx + 1):
         raise RuntimeError(f"{entry.tag}: sample grid below the degree bound")
+    for var, at, values in zip("sx", poles, ([ctx.s for ctx in ctxs], xs)):
+        hit = sorted(set(at).intersection(values))
+        if hit:
+            raise ZeroDivisionError(
+                f"{entry.tag}: the sample grid meets the pole {var} = {hit[0]}"
+            )
     lhs_v = _walk(entry.lhs, n, params, ctxs, xs, shared=True)
     rhs_v = _walk(rhs, n, params, ctxs, xs, shared=True)
     points: list[tuple[Fraction, Fraction]] = []
@@ -586,7 +619,10 @@ def integer_s_check(
     entry.validate(n, params)
     ctxs = [_IntegerSCtx(s0)]
     rhs = entry.rhs_for(variant)
-    _, bx = degree_bound(entry, n)
+    # only the x grid is needed here, and a side free of x has degree 0 in x
+    bx = 0
+    if BIFRAC in (entry.lhs.ast.domain, rhs.ast.domain):
+        bx = _derived(entry.lhs, rhs, n, params)[0][1]
     xs = [Fraction(xv) for xv in range(1, bx + 2)]
     lhs_v = _walk(entry.lhs, n, params, ctxs, xs)
     rhs_v = _walk(rhs, n, params, ctxs, xs)

@@ -2,6 +2,7 @@
 
 import ast
 import dataclasses
+import functools
 import importlib
 import math
 import operator
@@ -12,9 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hforge import oracle
+from hforge import bivar, degrees, oracle
+from hforge.bivar import BiPoly, FactoredFrac
 from hforge.catalog import catalog as catalog_entries
 from hforge.catalog import Side, eval_side, lookup, plan_cells, tags
+from hforge.dsl import check, load_corpus
 from hforge.oracle import (
     SampleCertificate,
     degree_bound,
@@ -277,8 +280,8 @@ class TestPointMemo:
     def test_clear_memos_empties_the_memo(self):
         clear_memos()
         for _ in range(2):
-            sampling_verify(lookup("THM-2.6"), 3)
-            assert point_memo_info().size == 6
+            cert = sampling_verify(lookup("THM-2.6"), 3)
+            assert point_memo_info().size == cert.degree_bound[0] + 1
             clear_memos()
             assert point_memo_info() == (0, 0, 0)
 
@@ -359,19 +362,226 @@ class TestDegreeBound:
             for n in range(e.n_min, e.n_min + 12):
                 degree_bound(e, n)
 
-    def test_an_unlisted_variable_entry_is_an_error(self):
+    def test_an_unlisted_variable_entry_gets_a_derived_bound(self):
+        # the bound comes from the statements, whatever the tag or the
+        # declared domain, and the sampling verdict is the symbolic one
         for domain in ("Q(s)", "Q(x)", "Q(s,x)"):
-            synthetic = dataclasses.replace(
-                lookup("THM-2.6"), tag="THM-9.9", domain=domain
-            )
-            with pytest.raises(ValueError, match="THM-9.9"):
-                degree_bound(synthetic, 3)
-            with pytest.raises(ValueError, match="THM-9.9"):
-                sampling_verify(synthetic, 3)
+            for rhs, holds in ((None, True), ("H(n) + s", False)):
+                synthetic = dataclasses.replace(
+                    lookup("THM-2.6"), tag="THM-9.9", domain=domain
+                )
+                if rhs is not None:
+                    synthetic = dataclasses.replace(synthetic, rhs=Side(rhs))
+                assert degree_bound(synthetic, 3) == (3, 0)
+                symbolic = eval_side(synthetic, "lhs", 3) == eval_side(synthetic, "rhs", 3)
+                assert symbolic is holds
+                assert sampling_verify(synthetic, 3).all_equal is holds
 
     def test_an_unlisted_constant_entry_needs_one_point(self):
         synthetic = dataclasses.replace(lookup("ID-5"), tag="ID-99")
         assert degree_bound(synthetic, 3) == (0, 0)
+
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus" / "paper.ids"
+
+# One statement for each builtin and for each shape of product whose
+# linear factors cancel, in full or in part, and for the inverted ones.
+ONE_BUILTIN = (
+    "H(n) * Hr(n,2) / C(2*n,n)",
+    "CS(n,2)",
+    "CS(-1,n)",
+    "1/CS(n,2)",
+    "CS(n,3)/CS(n,2)",
+    "PSID(n,1)",
+    "PSID(n,0) * s",
+    "1/PSID(n+1,n)",
+    "PSI1D(n,1)",
+    "PSID(n,1)^2",
+    "CS(n,2)*PSID(n+1,n-1)",
+    "CS(n,1)*PSID(n+1,n-1)",
+    "CS(n,2)*PSI1D(n+1,n-1)",
+    "CS(n,3)*PSID(n+1,n-1)^2",
+    "CS(n-1,n-1) * (PSID(n,1)^2 + PSI1D(n,1))",
+    "x/(1+x)",
+    "(1+x)^n * (x/(1+x))^(n+1)",
+    "1/(s+n) - 1/(x+n)",
+    "s*x/(2*s+2)",
+)
+
+
+def _exact(ast, n: int, params=None):
+    """The symbolic route's value of a checked tree at n."""
+    return compiled_module.compiled(ast)(evaluator._EXACT, {**(params or {}), "n": n})
+
+
+def _derived_den(form):
+    """{j: m} for each derived pole (s + j)^m, and the same for x."""
+    if type(form) is not degrees.Form:
+        return {}, {}
+    return tuple({j: -m for j, m in rec[0].items() if m < 0} for rec in (form.s, form.x))
+
+
+def _divided(poly, var: str, j: int):
+    """poly / (var + j), exact; raises ValueError on a remainder."""
+    return poly.synth_div_s(-j) if var == "s" else poly.synth_div_x(-j)
+
+
+def _assert_within_derived(ast, n: int, params=None):
+    """The side's exact value times its derived den is a polynomial of at
+    most its derived degrees in s and in x.
+
+    Each factor of the exact value's den is divided out of the numerator
+    times the derived den exactly, one linear factor at a time: a factor
+    linear in s or x directly, any other one split into its linear factors
+    by trial first.  So a pole that the derived den lacks leaves a
+    remainder."""
+    form = degrees.analyse(ast, n, params or {})
+    if type(form) is degrees.Form:
+        assert form.s[3] == form.x[3] == 0, "a side with a Q"
+    value = _exact(ast, n, params)
+    poly, factors = (
+        (value.num, value._f) if isinstance(value, FactoredFrac) else (BiPoly.const(value), {})
+    )
+    den_s, den_x = _derived_den(form)
+    for j, m in den_s.items():
+        poly = poly * (BiPoly.s() + j) ** m
+    for j, m in den_x.items():
+        poly = poly * (BiPoly.x() + j) ** m
+    for key, m in factors.items():
+        if key is bivar.X1:
+            own = [("x", 1)]
+        elif type(key) is int:
+            own = [("s", key)]
+        else:
+            own = [(var, j) for var in "sx" for j in range(-64, 65)]
+        for _ in range(m):
+            factor = bivar._factor(key)
+            for var, j in own:
+                while not factor.is_constant():
+                    try:
+                        factor = _divided(factor, var, j)
+                    except ValueError:
+                        break
+                    poly = _divided(poly, var, j)
+            assert factor.is_constant(), factor
+    bs, bx = degrees.numerator_degrees(form)
+    assert poly.deg_s <= bs and poly.deg_x <= bx, (poly.deg_s, poly.deg_x, bs, bx)
+
+
+def _catalog_sides():
+    """(entry, side) for every side of the catalog, each variant's too."""
+    for e in catalog_entries():
+        yield e, e.lhs
+        for variant in sorted(e.rhs_variants) or [None]:
+            yield e, e.rhs_for(variant)
+
+
+class TestDerivedDegrees:
+    """The degree analysis against the exact values of the statements."""
+
+    def test_every_catalog_side_up_to_25_is_within_its_derived_degrees(self):
+        for e, side in _catalog_sides():
+            for n in range(e.n_min, 26):
+                for params in e.default_param_grid():
+                    try:
+                        _assert_within_derived(side.ast, n, params)
+                    except (AssertionError, ValueError) as exc:
+                        raise AssertionError((e.tag, side.source, n, params)) from exc
+
+    def test_every_corpus_side_is_within_its_derived_degrees(self):
+        lines, issues = load_corpus(CORPUS)
+        assert lines and not issues
+        for line in lines:
+            identity = check(line.identity)
+            assert not isinstance(identity, list), line.name
+            for n in range(1, 11):
+                for side in (identity.lhs, identity.rhs):
+                    try:
+                        _assert_within_derived(side, n)
+                    except (AssertionError, ValueError) as exc:
+                        raise AssertionError((line.name, n)) from exc
+
+    @pytest.mark.parametrize("source", ONE_BUILTIN)
+    def test_one_builtin_statements_are_within_their_derived_degrees(self, source):
+        for n in range(3, 9):
+            _assert_within_derived(Side(source).ast, n)
+
+    # edits of a right side that make the identity false, with new poles,
+    # zeros, powers of s, a pole off the integers and a negation
+    MUTATIONS = (
+        "{} + PSID(n,1)",
+        "{} + PSI1D(n+1,1)",
+        "{} - CS(n,2)/(s+n+2)",
+        "{} + s^2",
+        "({}) * (s+1)",
+        "({}) / (s+2)",
+        "{} + 1/(2*s+1)",
+        "-({})",
+    )
+
+    @pytest.mark.parametrize("mutation", MUTATIONS)
+    def test_the_bound_holds_the_reduced_numerator_of_a_false_cell(self, mutation):
+        entries = [e for e in catalog_entries() if e.domain == "Q(s)"]
+        assert len(entries) == 10
+        for e in entries:
+            wrong = dataclasses.replace(e, rhs=Side(mutation.format(e.rhs.source)))
+            for n in range(1, 7):
+                diff = eval_side(wrong, "lhs", n) - eval_side(wrong, "rhs", n)
+                num, _ = diff.lowest_terms()
+                bs, bx = degree_bound(wrong, n)
+                assert bx == 0 and bs >= num.deg_s, (e.tag, mutation, n)
+                assert sampling_verify(wrong, n).all_equal is diff.is_zero()
+
+    def test_every_grid_point_avoids_every_derived_pole(self):
+        for e in catalog_entries():
+            for _, n, params, variant, _ in plan_cells(e, range(e.n_min, 26)):
+                (bs, bx), (at_s, at_x) = oracle._derived(e.lhs, e.rhs_for(variant), n, params)
+                assert not set(at_s) & set(range(1, bs + 2)), (e.tag, n)
+                assert not set(at_x) & set(range(1, bx + 2)), (e.tag, n)
+
+    def test_a_pole_on_the_grid_raises(self):
+        def cell(lhs, rhs):
+            return dataclasses.replace(lookup("THM-2.6"), tag="POLE", lhs=Side(lhs), rhs=Side(rhs))
+
+        # a derived pole at s = 1, x = 2, and one that cancels inside the
+        # side, which the walk meets
+        for lhs, rhs in (
+            ("1/(s-1)", "1/(s-1)"),
+            ("x/(x-2)", "x/(x-2)"),
+            ("CS(-1,1)/CS(-1,1)", "1"),
+        ):
+            with pytest.raises(ZeroDivisionError):
+                sampling_verify(cell(lhs, rhs), 2)
+        # off the grid, the pole is harmless
+        cert = sampling_verify(cell("1/(s-5) + s", "s + 1/(s-5)"), 2)
+        assert cert.degree_bound == (2, 0) and cert.all_equal
+
+
+class TestUnitProducts:
+    def test_a_product_by_one_or_minus_one_equals_the_general_product(self, monkeypatch):
+        # every (-1)^k statement of the catalog, over its sampling grid,
+        # through the fast path and through _Rat multiplications
+        sides = [(e, s) for e, s in _catalog_sides() if "(-1)^" in s.source]
+        assert len(sides) > 20
+        general = staticmethod(functools.partial(oracle._lift, operator.mul))
+        for e, side in sides:
+            for n in range(e.n_min, 8):
+                for params in e.default_param_grid():
+                    (bs, bx), _ = oracle._derived(e.lhs, side, n, params)
+                    ctxs = [oracle._PointCtx(sv) for sv in range(1, bs + 3)]
+                    xs = [Fraction(xv) for xv in range(1, bx + 3)]
+                    fast = oracle._walk(side, n, params, ctxs, xs)
+                    with monkeypatch.context() as m:
+                        m.setattr(oracle._Grid, "mul", general)
+                        slow = oracle._walk(side, n, params, ctxs, xs)
+                    assert fast == slow, (e.tag, n)
+                    assert _types(fast) == _types(slow), (e.tag, n)
+
+
+def _types(value):
+    if isinstance(value, (list, tuple)):
+        return [_types(v) for v in value]
+    return type(value)
 
 
 class TestSamplingVerify:
@@ -517,18 +727,19 @@ def _within(name: str, banned) -> bool:
 
 def test_the_oracle_imports_nothing_from_the_symbolic_engine():
     banned = ("hforge.bivar", "hforge.exact", "hforge.dsl.evaluator")
-    for source, name in _imports(oracle):
-        assert not _within(source, banned), source
-        assert not _within(f"{source}.{name}", banned), (source, name)
+    for module in (oracle, degrees):
+        for source, name in _imports(module):
+            assert not _within(source, banned), source
+            assert not _within(f"{source}.{name}", banned), (source, name)
 
 
 def test_only_the_compiled_form_reads_expression_trees():
-    # one walker: neither arithmetic dispatches on the kinds of node, and
+    # one walker: no arithmetic dispatches on the kinds of node, and
     # the compiled form shares nothing with the symbolic engine
     kinds = {
         "Add", "Sub", "Mul", "Div", "Pow", "Neg", "Sum", "Call", "Var", "IntLit", "RatLit"
     }
-    for module in (oracle, evaluator):
+    for module in (oracle, degrees, evaluator):
         for source, name in _imports(module):
             if source in ("hforge.dsl", "hforge.dsl.nodes"):
                 assert name not in kinds, (module.__name__, name)

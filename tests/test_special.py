@@ -289,7 +289,7 @@ class TestDirectFactors:
     the numerator, term for term.  The builders also check their arguments
     themselves."""
 
-    def test_psi_factors_equal_the_ratfunc_route_term_for_term(self):
+    def test_psi_factors_equal_their_defining_sums_term_for_term(self):
         for a in range(0, 27):
             for b in range(0, a + 1):
                 for m, build in ((1, psi_factor), (2, psi1_factor)):
@@ -300,7 +300,7 @@ class TestDirectFactors:
                     reference = psi_definition(a, b, m)
                     assert agrees_with(got, reference, m * (a - b)), (a, b, m)
 
-    def test_binom_factor_equals_the_ratfunc_route(self):
+    def test_binom_factor_equals_its_falling_factorial(self):
         for a in range(-4, 6):
             for k in range(0, 9):
                 got = binom_factor(a, k)
