@@ -887,6 +887,25 @@ def _div_key(rows: Rows, key) -> Rows | None:
     return None if _trim(_lincomb(rows[0], 1, carry, -1)) else tuple(out[::-1])
 
 
+def _split_linear(rows: Rows) -> tuple[Rows, dict]:
+    """``rows`` with every ``x + 1`` and ``s + j`` divided out as often as
+    the division is exact, and those factors as ``{key: multiplicity}``.
+    An ``s + j`` divides every x-row, so -j is an integer root of the
+    x-row with the fewest terms."""
+    # imported on first use, so that a process that inverts no product of
+    # linear factors does not compile the search
+    from .roots import integer_roots
+
+    row = min((r for r in rows if r), key=lambda r: len(r) - r.count(0))
+    keys = [X1, *[-t for t in integer_roots(row)]] if len(row) > 1 else [X1]
+    found = {}
+    for key in keys:
+        while (quotient := _div_key(rows, key)) is not None:
+            rows = quotient
+            found[key] = found.get(key, 0) + 1
+    return rows, found
+
+
 def _cancel(p: BiPoly, factors: dict) -> tuple[BiPoly, dict]:
     """``p`` divided by each linear factor of ``factors`` for as long as
     the division is exact, and the factors that are left.
@@ -923,7 +942,9 @@ class FactoredFrac:
     ``s + j``, ``X1`` for ``x + 1``, and the primitive part for any other
     factor (the catalog and the corpus make none).  A factor's rational
     multiple of its key goes to the numerator, so equal factors built
-    separately share one key.
+    separately share one key.  ``inverse`` gives each ``s + j`` and
+    ``x + 1`` that divides the numerator a key of its own, so that
+    ``C(s+3, 3) / C(s+3, 2)`` cancels to ``(s + 1) / 3``.
     Addition builds the factorwise least common denominator, so repeated
     sums over ``1/(s+j)``- and ``1/(x+1)``-style terms never cross-multiply
     full denominators.  Multiplication first cancels linear factors: each
@@ -1087,7 +1108,15 @@ class FactoredFrac:
         if num.is_zero():
             raise ZeroDenominatorError("inverse of zero")
         mx, ms = num.min_x(), num.min_s()
-        factors = [(BiPoly.x(), mx), (BiPoly.s(), ms), (num.shift_down(mx, ms), 1)]
+        rest = num.shift_down(mx, ms)
+        factors = [(BiPoly.x(), mx), (BiPoly.s(), ms)]
+        if not rest.is_constant() and _linear_key(rest._r) is None:
+            # a product of linear factors gets one key per factor, which
+            # _cancel can divide out, and only what is left is one key
+            rows, linear = _split_linear(rest._r)
+            factors += [(_factor(key), m) for key, m in linear.items()]
+            rest = BiPoly._raw(rest._n, rest._d, rows)
+        factors.append((rest, 1))
         return FactoredFrac(_times_factors(BiPoly.one(), self._f), factors)
 
     def __truediv__(self, other):

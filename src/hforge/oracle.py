@@ -50,9 +50,11 @@ are free of x, in a process-wide memo keyed by source text and bindings:
 each is kept as its list of values over s = 1..M.  A smaller grid reads
 a prefix of that list; a larger one extends it by running the
 sub-product on the tail of its grid alone.  Integer-s grids, one-point
-grids and empty grids compute every value themselves, so the integer-s
-oracle stays independent of the sampling one.  ``grid_memo_info``
-reports the memo's use and ``special.clear_memos`` empties it.
+grids and empty grids share no sub-product, so the integer-s oracle stays
+independent of the sampling one.  ``grid_memo_info`` reports the memo's
+use and ``special.clear_memos`` empties it.  An integer-s grid holds all
+of ``INTEGER_S_POINTS``, and the last cell's four verdicts answer its
+other three points (``integer_s_check``, ``integer_s_memo_info``).
 """
 
 from __future__ import annotations
@@ -289,19 +291,24 @@ def grid_memo_info() -> MemoInfo:
     return _PRODUCTS.info()
 
 
+def _check_s0(s0) -> None:
+    if not isinstance(s0, int) or isinstance(s0, bool) or s0 < 0:
+        raise ValueError("s0 must be a nonnegative integer")
+
+
 class _IntegerSCtx:
     """Summation primitives at a nonnegative integer point s0.
 
     Digamma differences collapse to harmonic-number differences here, so
-    this path exercises only Rational, harmonic, and binomial arithmetic.
-    One context lives for one ``integer_s_check`` call.
+    this path exercises only ``_Rat``, harmonic and binomial arithmetic.
+    A context lives for one walk of a cell's sides, over one point or over
+    all of ``INTEGER_S_POINTS`` (``integer_s_check``).
     """
 
     __slots__ = ("s0", "s")
 
     def __init__(self, s0: int):
-        if not isinstance(s0, int) or isinstance(s0, bool) or s0 < 0:
-            raise ValueError("s0 must be a nonnegative integer")
+        _check_s0(s0)
         self.s0 = s0
         self.s = Fraction(s0)
 
@@ -604,6 +611,33 @@ def sampling_verify(
     )
 
 
+# The last cell walked over ``INTEGER_S_POINTS``: its entry and its verdict
+# at each point, or None if the walk raised.
+_CELL = KeyedMemo()
+
+
+def integer_s_memo_info() -> MemoInfo:
+    """Hit, miss and entry counts of the integer-s oracle's one-cell memo."""
+    return _CELL.info()
+
+
+def _integer_s_walk(entry: IdentityEntry, n: int, params: Params, rhs: Side, points):
+    """The verdict at each s0 of ``points``, from one walk of each side
+    over all of them and the x grid."""
+    ctxs = [_IntegerSCtx(s0) for s0 in points]
+    # only the x grid is needed here, and a side free of x has degree 0 in x
+    bx = 0
+    if BIFRAC in (entry.lhs.ast.domain, rhs.ast.domain):
+        bx = _derived(entry.lhs, rhs, n, params)[0][1]
+    xs = [Fraction(xv) for xv in range(1, bx + 2)]
+    lhs_v = _walk(entry.lhs, n, params, ctxs, xs)
+    rhs_v = _walk(rhs, n, params, ctxs, xs)
+    return [
+        all(_at(lhs_v, i, j) == _at(rhs_v, i, j) for j in range(len(xs)))
+        for i in range(len(ctxs))
+    ]
+
+
 def integer_s_check(
     entry: IdentityEntry,
     n: int,
@@ -612,25 +646,38 @@ def integer_s_check(
     variant: str | None = None,
 ) -> bool:
     """Evaluate both sides at integer s = s0 using only harmonic-number
-    arithmetic; bivariate entries are compared across an x grid."""
+    arithmetic; bivariate entries are compared across an x grid.
+
+    At an s0 of ``INTEGER_S_POINTS`` one walk answers for all four points
+    of the cell, and the verdicts are kept until another cell is asked
+    for; the memo knows the entry by identity, not by tag.  If that walk
+    raises, each point is walked alone and raises or answers for itself."""
     if "s" not in entry.domain:
         raise ValueError(f"{entry.tag} has no s dependence")
     params = dict(params or {})
     entry.validate(n, params)
-    ctxs = [_IntegerSCtx(s0)]
+    _check_s0(s0)
     rhs = entry.rhs_for(variant)
-    # only the x grid is needed here, and a side free of x has degree 0 in x
-    bx = 0
-    if BIFRAC in (entry.lhs.ast.domain, rhs.ast.domain):
-        bx = _derived(entry.lhs, rhs, n, params)[0][1]
-    xs = [Fraction(xv) for xv in range(1, bx + 2)]
-    lhs_v = _walk(entry.lhs, n, params, ctxs, xs)
-    rhs_v = _walk(rhs, n, params, ctxs, xs)
-    return all(_at(lhs_v, 0, j) == _at(rhs_v, 0, j) for j in range(len(xs)))
+    if s0 in INTEGER_S_POINTS:
+        key = (n, tuple(sorted(params.items())), variant)
+        cell = _CELL.get(key)
+        if cell is not None and cell[0] is entry:
+            _CELL.hits += 1
+        else:
+            _CELL.misses += 1
+            try:
+                verdicts = _integer_s_walk(entry, n, params, rhs, INTEGER_S_POINTS)
+            except (ArithmeticError, ValueError):
+                verdicts = None
+            _CELL.clear()
+            cell = _CELL[key] = (entry, verdicts)
+        if cell[1] is not None:
+            return cell[1][INTEGER_S_POINTS.index(s0)]
+    return _integer_s_walk(entry, n, params, rhs, (s0,))[0]
 
 
-def _annotate_disagreement(row: ReportRow, mode: str) -> ReportRow:
-    params = {**row.params, "oracle_disagreement": mode}
+def _annotate_disagreement(row: ReportRow, mode: str, **where) -> ReportRow:
+    params = {**row.params, "oracle_disagreement": mode, **where}
     return replace(row, params=params, passed=False, expected_fail=False)
 
 
@@ -647,7 +694,7 @@ def fold_oracle(row: ReportRow, mode: str) -> ReportRow:
     if mode in ("integer-s", "both") and "s" in entry.domain:
         for s0 in INTEGER_S_POINTS:
             if integer_s_check(entry, row.n, s0, params, variant=variant) != row.passed:
-                return _annotate_disagreement(row, "integer-s")
+                return _annotate_disagreement(row, "integer-s", oracle_s0=s0)
     return row
 
 

@@ -261,6 +261,25 @@ class TestFactoredFrac:
         inv = f.inverse().to_bifrac()
         assert bifrac_eq(inv, BiFrac(BiPoly.one(), BiPoly.s() * (BiPoly.x() + 1)))
 
+    def test_inverse_keys_each_linear_factor_of_a_product(self):
+        # C(s+3, 2) = (s+2)(s+3)/2 and C(s+3, 3) = (s+1)(s+2)(s+3)/6
+        cs2, cs3 = binom_factor(3, 2), binom_factor(3, 3)
+        assert cs2.inverse()._f == {2: 1, 3: 1}
+        quotient = cs3 / cs2
+        assert quotient._f == {}
+        assert quotient.num == BiPoly({(0, 0): Fraction(1, 3), (0, 1): Fraction(1, 3)})
+        s, x = BiPoly.s(), BiPoly.x()
+        assert FactoredFrac(s * s + 1).inverse()._f == {s * s + 1: 1}
+        # (x+1)^2 (s-7)^2 (s^2+x+1) s: the monomial, the x + 1, the s - 7 and
+        # what is left each get a key
+        f = FactoredFrac((x + 1) ** 2 * (s - 7) ** 2 * (s * s + x + 1) * s * -3)
+        inv = f.inverse()
+        assert {k: m for k, m in inv._f.items() if type(k) is not BiPoly} == {
+            bivar.X1: 2, -7: 2, 0: 1
+        }
+        assert [m for k, m in inv._f.items() if type(k) is BiPoly] == [1]
+        assert (f * inv).to_bifrac() == 1
+
     def test_inverse_rejects_zero(self):
         with pytest.raises(ZeroDenominatorError):
             FactoredFrac.from_scalar(0).inverse()

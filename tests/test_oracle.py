@@ -638,10 +638,102 @@ class TestIntegerSCheck:
             integer_s_check(lookup("INTRO-2"), 1, 1)
 
     def test_rejects_bad_base_points(self):
-        with pytest.raises(ValueError):
-            integer_s_check(lookup("THM-2.6"), 2, -1)
-        with pytest.raises(ValueError):
-            integer_s_check(lookup("THM-2.6"), 2, True)
+        # True and 1.0 equal a point of INTEGER_S_POINTS, also once its
+        # cell is in the memo
+        entry = lookup("THM-2.6")
+        assert integer_s_check(entry, 2, 1)
+        for s0 in (-1, True, 1.0):
+            with pytest.raises(ValueError):
+                integer_s_check(entry, 2, s0)
+
+
+def _s_cells(n_max):
+    """(entry, n, params, variant) of every catalog cell over s to n_max."""
+    return [
+        (e, n, params, variant)
+        for e in catalog_entries()
+        if "s" in e.domain
+        for _, n, params, variant, _ in plan_cells(e, range(e.n_min, n_max + 1))
+    ]
+
+
+class TestIntegerSBatch:
+    """``integer_s_check`` walks a cell once over all of INTEGER_S_POINTS
+    and keeps that cell's verdicts."""
+
+    def test_batched_verdicts_and_values_equal_one_point_walks(self):
+        points, xs = oracle.INTEGER_S_POINTS, [Fraction(1), Fraction(3, 2), Fraction(4)]
+        cells = _s_cells(10)
+        assert len(cells) == 130
+        for e, n, params, variant in cells:
+            rhs = e.rhs_for(variant)
+            clear_memos()
+            got = [integer_s_check(e, n, s0, params, variant) for s0 in points]
+            for side in (e.lhs, rhs):
+                ctxs = [oracle._IntegerSCtx(s0) for s0 in points]
+                batch = oracle._walk(side, n, params, ctxs, xs)
+                for i, ctx in enumerate(ctxs):
+                    clear_memos()
+                    one = oracle._walk(side, n, params, [ctx], xs)
+                    for j in range(len(xs)):
+                        assert oracle._at(batch, i, j) == oracle._at(one, 0, j), (e.tag, n)
+            for i, s0 in enumerate(points):
+                clear_memos()
+                assert got[i] == oracle._integer_s_walk(e, n, params, rhs, (s0,))[0], (e.tag, n)
+
+    def test_a_point_that_raises_in_a_batch_raises_alone(self):
+        # 1/s has a pole at s = 0 and PSID(n,0) = psi(s+n) - psi(s) one too;
+        # the other points answer as they would alone
+        for lhs, error in (("1/s + CS(n,1)", ZeroDivisionError), ("PSID(n,0)*s", ValueError)):
+            cell = dataclasses.replace(lookup("THM-2.6"), lhs=Side(lhs), rhs=Side(lhs))
+            clear_memos()
+            with pytest.raises(error):
+                integer_s_check(cell, 3, 0)
+            for s0 in (1, 2, 5):
+                assert integer_s_check(cell, 3, s0)
+            with pytest.raises(error):
+                integer_s_check(cell, 3, 0)
+            assert oracle.integer_s_memo_info() == (4, 1, 1)
+
+    def test_an_entry_that_shares_a_tag_gets_its_own_verdicts(self):
+        entry = lookup("THM-2.6")
+        # wrong only where s*(s-2) is not zero
+        wrong = dataclasses.replace(entry, rhs=Side(f"{entry.rhs.source} + s*(s-2)"))
+        assert wrong.tag == entry.tag
+        clear_memos()
+        for s0 in oracle.INTEGER_S_POINTS:
+            assert integer_s_check(entry, 3, s0)
+            assert integer_s_check(wrong, 3, s0) is (s0 in (0, 2))
+        # each call asked for another entry's cell than the call before
+        assert oracle.integer_s_memo_info() == (0, 8, 1)
+
+    def test_a_disagreement_names_its_point(self, monkeypatch):
+        from hforge import catalog
+        from hforge.report import ReportRow
+
+        entry = lookup("THM-2.6")
+        # wrong where s*(s-1) is not zero: from s0 = 2 on
+        wrong = dataclasses.replace(entry, rhs=Side(f"{entry.rhs.source} + s*(s-1)"))
+        monkeypatch.setitem(catalog._BY_TAG, entry.tag, wrong)
+        row = ReportRow(id=entry.tag, n=3, params={}, passed=True)
+        got = oracle.fold_oracle(row, "integer-s")
+        assert got.params == {"oracle_disagreement": "integer-s", "oracle_s0": 2}
+        assert not got.passed and not got.expected_fail
+
+    def test_a_sweep_counts_one_miss_and_three_hits_per_cell(self):
+        cells = _s_cells(4)
+        clear_memos()
+        assert oracle.integer_s_memo_info() == (0, 0, 0)
+        for e, n, params, variant in cells:
+            for s0 in oracle.INTEGER_S_POINTS:
+                integer_s_check(e, n, s0, params, variant)
+        assert oracle.integer_s_memo_info() == (3 * len(cells), len(cells), 1)
+        # a point outside INTEGER_S_POINTS is walked alone
+        e, n, params, variant = cells[0]
+        integer_s_check(e, n, 3, params, variant)
+        assert oracle.integer_s_memo_info() == (3 * len(cells), len(cells), 1)
+        clear_memos()
+        assert oracle.integer_s_memo_info() == (0, 0, 0)
 
 
 class TestFamilyCheck:
