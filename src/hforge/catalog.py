@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Mapping, Sequence
 
 from .bivar import BiFrac, bifrac_eq
@@ -38,6 +38,9 @@ from .special import (  # noqa: F401
 
 Params = Mapping[str, int]
 
+# What ``verify_all(oracle=...)`` and ``verify --oracle`` accept.
+ORACLE_MODES = ("off", "sampling", "integer-s", "both")
+
 
 class Side:
     """One side of an identity, stated in the expression language.
@@ -54,6 +57,11 @@ class Side:
         self.source = source
         self.params = params
         self._ast = None
+
+    def __reduce__(self):
+        # by statement: the checked tree holds its compiled form's
+        # closures, which do not pickle, and is rebuilt on first use
+        return (type(self), (self.source, self.params))
 
     @property
     def ast(self):
@@ -103,6 +111,10 @@ class IdentityEntry:
     with alternative right sides (INTRO-2) list them in ``rhs_variants``;
     variants named in ``expected_fail_variants`` are known-bad forms kept
     for auditability.
+
+    An entry pickles as its tag when it is the one the catalog holds under
+    that tag, so a pool worker gets it back by ``lookup``; any other entry
+    pickles by value.
     """
 
     tag: str
@@ -143,6 +155,11 @@ class IdentityEntry:
                 {**g, spec.name: v} for g in grids for v in spec.default_grid
             )
         return grids
+
+    def __reduce__(self):
+        if _BY_TAG.get(self.tag) is self:
+            return (lookup, (self.tag,))
+        return (type(self), tuple(getattr(self, f.name) for f in fields(self)))
 
     def rhs_for(self, variant: str | None) -> Side:
         if variant is None:
@@ -540,13 +557,12 @@ def _variant_plan(
 
 
 def _run_cell(
-    tag: str,
+    entry: IdentityEntry,
     n: int,
     params: dict,
     variant: str | None,
     expected_fail: bool,
 ) -> ReportRow:
-    entry = lookup(tag)
     start = time.perf_counter_ns()
     lhs = entry.lhs(n, params)
     rhs = entry.rhs_for(variant)(n, params)
@@ -557,7 +573,7 @@ def _run_cell(
     if variant is not None:
         row_params["variant"] = variant
     return ReportRow(
-        id=tag,
+        id=entry.tag,
         n=n,
         params=row_params,
         passed=passed,
@@ -569,12 +585,14 @@ def _run_cell(
 
 def _run_batch(cells: Sequence[tuple], oracle: str) -> list[ReportRow]:
     """Rows of consecutive cells, each cross-checked by ``oracle`` unless
-    it is ``"off"``; the one task a pool worker runs."""
+    it is ``"off"``; the one task a pool worker runs.  Each cell carries
+    its entry: a catalog entry reaches the worker as its tag, any other
+    entry by value."""
     if oracle == "off":
         return [_run_cell(*cell) for cell in cells]
     from .oracle import fold_oracle  # oracle imports this module
 
-    return [fold_oracle(_run_cell(*cell), oracle) for cell in cells]
+    return [fold_oracle(cell[0], _run_cell(*cell), oracle) for cell in cells]
 
 
 def plan_cells(
@@ -583,7 +601,11 @@ def plan_cells(
     params_range: Sequence[Params] | None = None,
     variant: str | None = None,
 ) -> list[tuple]:
-    """Deterministic (tag, n, params, variant, expected_fail) work list."""
+    """Deterministic (entry, n, params, variant, expected_fail) work list.
+
+    Each cell proves the entry it holds, catalog entry or not; a pool
+    worker gets a catalog entry by its tag and any other by value (see
+    ``IdentityEntry``)."""
     grids = (
         [dict(p) for p in params_range]
         if params_range is not None
@@ -596,7 +618,7 @@ def plan_cells(
         for params in grids:
             entry.validate(n, params)
             for name, expected_fail in _variant_plan(entry, variant):
-                cells.append((entry.tag, n, dict(params), name, expected_fail))
+                cells.append((entry, n, dict(params), name, expected_fail))
     return cells
 
 
@@ -637,11 +659,8 @@ def verify_all(
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    if oracle != "off":
-        from .oracle import ORACLE_MODES  # oracle imports this module
-
-        if oracle not in ORACLE_MODES:
-            raise ValueError(f"unknown oracle mode {oracle!r}")
+    if oracle not in ORACLE_MODES:
+        raise ValueError(f"unknown oracle mode {oracle!r}")
     selected = [lookup(t) for t in tags] if tags is not None else list(_ENTRIES)
     cells: list[tuple] = []
     for entry in selected:

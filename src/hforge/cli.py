@@ -21,10 +21,15 @@ import click
 
 from . import __version__, dsl
 # ``verify`` stays importable here for perfbench/spans.py, which looks it up.
-from .catalog import IdentityEntry, catalog, verify, verify_all  # noqa: F401
+from .catalog import (  # noqa: F401
+    ORACLE_MODES,
+    IdentityEntry,
+    catalog,
+    verify,
+    verify_all,
+)
 from .dsl.compiled import compiled
 from .exact import PoleError
-from .oracle import ORACLE_MODES
 from .report import Report
 from .special import clear_memos
 

@@ -62,16 +62,15 @@ from __future__ import annotations
 import functools
 import math
 import operator
-import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import repeat
 from typing import Mapping
 
-from .catalog import IdentityEntry, Side, lookup
+from .catalog import IdentityEntry, Side
 from .dsl.checker import BIFRAC, RATFUNC
 from .dsl.compiled import compiled
-from .report import Report, ReportRow
+from .report import ReportRow
 from .special import (
     KeyedMemo,
     MemoInfo,
@@ -85,9 +84,6 @@ Params = Mapping[str, int]
 
 # The values of s at which ``verify --oracle integer-s`` checks a cell.
 INTEGER_S_POINTS = (0, 1, 2, 5)
-
-# What ``verify_all(oracle=...)`` and ``verify --oracle`` accept.
-ORACLE_MODES = ("off", "sampling", "integer-s", "both")
 
 
 class _Rat:
@@ -681,10 +677,11 @@ def _annotate_disagreement(row: ReportRow, mode: str, **where) -> ReportRow:
     return replace(row, params=params, passed=False, expected_fail=False)
 
 
-def fold_oracle(row: ReportRow, mode: str) -> ReportRow:
-    """Cross-check a symbolic verdict against the independent paths that
-    ``mode`` names; a disagreement turns the row into a hard failure."""
-    entry = lookup(row.id)
+def fold_oracle(entry: IdentityEntry, row: ReportRow, mode: str) -> ReportRow:
+    """Cross-check the symbolic verdict of ``entry``'s cell in ``row``
+    against the independent paths that ``mode`` names; a disagreement
+    turns the row into a hard failure.  ``entry`` is the one the row
+    proved, whether or not the catalog holds it."""
     params = {k: v for k, v in row.params.items() if k != "variant"}
     variant = row.params.get("variant")
     if mode in ("sampling", "both"):
@@ -696,60 +693,3 @@ def fold_oracle(row: ReportRow, mode: str) -> ReportRow:
             if integer_s_check(entry, row.n, s0, params, variant=variant) != row.passed:
                 return _annotate_disagreement(row, "integer-s", oracle_s0=s0)
     return row
-
-
-# The two anchored single-m displays; the m=3 display disagrees with the
-# general formula (2*H_n in place of 2*H_{2n}) and is kept to document that.
-def _id14_display(n: int, m: int) -> Fraction:
-    if m == 2:
-        return (
-            Fraction((-1) ** n, 2)
-            * binom_int(2 * n, n)
-            * (harmonic(n) - Fraction(1, 2 * n))
-        )
-    if m == 3:
-        return (
-            Fraction((-1) ** n, 3)
-            * binom_int(3 * n, n)
-            * (2 * harmonic(n) - Fraction(1, 3 * n))
-        )
-    raise ValueError("the displayed cases are m=2 and m=3")
-
-
-def id13_family_check(n_max: int, m_set=(2, 3, 4, 5)) -> Report:
-    """Evaluation of the m-parameterized family's statement (ID-13), plus
-    the two single-m displays compared against their specializations."""
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    family = lookup("ID-13")
-    report = Report()
-    for n in range(1, n_max + 1):
-        for m in sorted(m_set):
-            if m < 2:
-                raise ValueError("parameter m must be >= 2")
-            start = time.perf_counter_ns()
-            params = {"m": m}
-            passed = _walk(family.lhs, n, params) == _walk(family.rhs, n, params)
-            elapsed = time.perf_counter_ns() - start
-            report.add(
-                ReportRow(
-                    id="ID-13", n=n, params=params, passed=passed, elapsed_ns=elapsed
-                )
-            )
-    for n in range(1, n_max + 1):
-        for m in (2, 3):
-            start = time.perf_counter_ns()
-            spec = _walk(family.rhs, n, {"m": m})
-            passed = _id14_display(n, m) == spec
-            elapsed = time.perf_counter_ns() - start
-            report.add(
-                ReportRow(
-                    id="ID-14",
-                    n=n,
-                    params={"m": m, "form": "display"},
-                    passed=passed,
-                    expected_fail=(m == 3),
-                    elapsed_ns=elapsed,
-                )
-            )
-    return report

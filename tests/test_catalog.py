@@ -4,6 +4,7 @@ import ast
 import dataclasses
 import multiprocessing
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -137,6 +138,32 @@ class TestStatements:
         )
         assert out.stdout.strip() == "False"
 
+    def test_importing_the_cli_does_not_load_the_oracle(self):
+        code = "import sys, hforge.cli; print('hforge.oracle' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        )
+        assert out.stdout.strip() == "False"
+
+    def test_a_catalog_entry_pickles_as_itself(self):
+        entry = lookup("THM-2.4")
+        entry.lhs(2)
+        assert pickle.loads(pickle.dumps(entry)) is entry
+
+    def test_an_entry_outside_the_catalog_pickles_by_value(self):
+        entry = lookup("THM-2.4")
+        other = dataclasses.replace(entry, tag="THM-9.9")
+        other.lhs(2)  # compiles the tree, whose closures do not pickle
+        copy = pickle.loads(pickle.dumps(other))
+        assert copy is not other and copy.tag == "THM-9.9"
+        assert copy.lhs._ast is None
+        assert (copy.lhs.source, copy.lhs.params) == (entry.lhs.source, entry.lhs.params)
+        assert bifrac_eq(copy.lhs(2), entry.lhs(2))
+
     def test_language_does_not_import_the_catalog(self):
         for path in (ROOT / "src" / "hforge" / "dsl").glob("*.py"):
             tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -243,6 +270,26 @@ class TestVerify:
         assert {r.params["m"] for r in report.rows} == {2, 5}
         assert report.all_ok()
 
+    @pytest.mark.parametrize(
+        "workers, method", [(1, None), (2, "fork"), (2, "spawn")]
+    )
+    def test_verify_proves_the_entry_it_is_given(self, monkeypatch, workers, method):
+        if method is not None:
+            pool_with_start_method(monkeypatch, method)
+        wrong = dataclasses.replace(lookup("ID-5"), rhs=Side("H(n) + 1"))
+        report = verify(wrong, [1, 2, 3], workers=workers)
+        assert [(r.id, r.n) for r in report.rows] == [("ID-5", 1), ("ID-5", 2), ("ID-5", 3)]
+        assert not any(r.passed or r.expected_fail for r in report.rows)
+        assert all(r.witness is not None for r in report.rows)
+        assert report.rows[0].witness.rhs_probe == "2"
+
+    def test_an_entry_outside_the_catalog_is_verified(self):
+        synthetic = dataclasses.replace(lookup("ID-5"), tag="ID-99")
+        report = verify(synthetic, [1, 2], workers=2)
+        assert [(r.id, r.n, r.passed) for r in report.rows] == [
+            ("ID-99", 1, True), ("ID-99", 2, True)
+        ]
+
     @pytest.mark.parametrize("method", ["fork", "spawn"])
     def test_parallel_rows_match_serial_rows(self, monkeypatch, method):
         pool_with_start_method(monkeypatch, method)
@@ -323,7 +370,9 @@ class TestVerify:
         assert [(r.n, r.passed) for r in report.rows] == [(20, True)]
         flipped, count = re.subn(r"\+ s\*\(", "- s*(", entry.rhs.source)
         assert count == 1
-        assert not bifrac_eq(entry.lhs(20), Side(flipped)(20))
+        wrong = dataclasses.replace(entry, rhs=Side(flipped))
+        (row,) = verify(wrong, [20]).rows
+        assert not row.passed and row.witness is not None
 
     def test_verify_all_takes_tags_in_order_and_an_m_grid(self):
         report = verify_all(2, tags=["ID-13", "ID-5"], m_grid=[2, 5])
@@ -400,7 +449,8 @@ def _every_side(n_max):
     ``verify_all``) and every corpus line with n <= n_max."""
     sides = []
     for entry in catalog_entries():
-        for tag, n, params, variant, _ in plan_cells(entry, range(entry.n_min, n_max + 1)):
+        tag = entry.tag
+        for _, n, params, variant, _ in plan_cells(entry, range(entry.n_min, n_max + 1)):
             sides.append(((tag, n, params, "lhs"), lambda e=entry, n=n, p=params:
                           eval_side(e, "lhs", n, p)))
             sides.append(((tag, n, params, variant), lambda e=entry, n=n, p=params, v=variant:

@@ -22,7 +22,6 @@ from hforge.oracle import (
     SampleCertificate,
     degree_bound,
     grid_memo_info,
-    id13_family_check,
     integer_s_check,
     point_memo_info,
     sampling_verify,
@@ -707,16 +706,14 @@ class TestIntegerSBatch:
         # each call asked for another entry's cell than the call before
         assert oracle.integer_s_memo_info() == (0, 8, 1)
 
-    def test_a_disagreement_names_its_point(self, monkeypatch):
-        from hforge import catalog
+    def test_a_disagreement_names_its_point(self):
         from hforge.report import ReportRow
 
         entry = lookup("THM-2.6")
         # wrong where s*(s-1) is not zero: from s0 = 2 on
         wrong = dataclasses.replace(entry, rhs=Side(f"{entry.rhs.source} + s*(s-1)"))
-        monkeypatch.setitem(catalog._BY_TAG, entry.tag, wrong)
         row = ReportRow(id=entry.tag, n=3, params={}, passed=True)
-        got = oracle.fold_oracle(row, "integer-s")
+        got = oracle.fold_oracle(wrong, row, "integer-s")
         assert got.params == {"oracle_disagreement": "integer-s", "oracle_s0": 2}
         assert not got.passed and not got.expected_fail
 
@@ -736,39 +733,21 @@ class TestIntegerSBatch:
         assert oracle.integer_s_memo_info() == (0, 0, 0)
 
 
-class TestFamilyCheck:
-    def test_rows_cover_family_and_displays(self):
-        report = id13_family_check(3)
-        by_id = {}
-        for r in report.rows:
-            by_id.setdefault(r.id, []).append(r)
-        assert len(by_id["ID-13"]) == 12
-        assert len(by_id["ID-14"]) == 6
-        assert report.all_ok()
+def test_the_anchored_id14_display_holds_at_m_2_and_fails_at_m_3():
+    # the display as printed, (m-1)*H(n) where ID-14's general formula has
+    # (m-1)*H((m-1)*n): the two agree at m = 2 only
+    from hforge.catalog import verify
 
-    def test_only_the_second_display_is_marked(self):
-        report = id13_family_check(4)
-        marked = {(r.id, r.params.get("m")) for r in report.rows if r.expected_fail}
-        assert marked == {("ID-14", 3)}
-        for r in report.rows:
-            if r.expected_fail:
-                assert not r.passed
-
-    def test_restricted_m_set(self):
-        # m_set narrows the family rows; the two displays are always shown
-        report = id13_family_check(2, m_set=(2,))
-        family = [r for r in report.rows if r.id == "ID-13"]
-        displays = [r for r in report.rows if r.id == "ID-14"]
-        assert all(r.params["m"] == 2 for r in family)
-        assert {r.params["m"] for r in displays} == {2, 3}
-        assert all(r.params["form"] == "display" for r in displays)
-        assert report.all_ok()
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            id13_family_check(0)
-        with pytest.raises(ValueError):
-            id13_family_check(2, m_set=(1, 2))
+    display = "(-1)^n/m * C(m*n,n)*((m-1)*H(n) - 1/(m*n))"
+    entry = dataclasses.replace(lookup("ID-14"), rhs=Side(display, ("m",)))
+    report = verify(entry, range(1, 5), params_range=[{"m": 2}, {"m": 3}])
+    assert [(r.n, r.params["m"], r.passed) for r in report.rows] == [
+        (n, m, m == 2) for n in range(1, 5) for m in (2, 3)
+    ]
+    witness = report.rows[1].witness
+    assert (witness.lhs_probe, witness.rhs_probe) == ("-8/3", "-5/3")
+    for r in report.rows:
+        assert sampling_verify(entry, r.n, r.params).all_equal is r.passed
 
 
 def test_oracle_and_symbolic_engine_agree_per_cell():
