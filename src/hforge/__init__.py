@@ -19,14 +19,17 @@ The package is layered bottom-up:
     its arithmetic as an argument, and the exact arithmetic for it.
 ``catalog``
     The identity catalog, each side stated in the expression language
-    (parsed on first evaluation, so importing the package does not import
-    ``dsl``), plus the verification engine.
+    (parsed on first evaluation), plus the verification engine, which
+    imports its process pool when it first starts one.
 ``oracle``
     Numeric verification of the catalog's statements on arithmetic of
     its own: deterministic grid sampling with degree-bound certificates
     and integer-point evaluation.
 ``cli``
     The ``hforge`` command line front end.
+
+Importing the package loads neither ``dsl``, ``oracle`` nor
+``multiprocessing``; each is loaded on first use.
 """
 
 from .bivar import BiFrac, BiPoly, FactoredFrac, bifrac_eq, cross_difference, ffsum

@@ -11,7 +11,6 @@ back :class:`~hforge.bivar.BiFrac` for cross-multiplied comparison.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from typing import Mapping, Sequence
 
@@ -19,7 +18,8 @@ from .bivar import BiFrac, bifrac_eq
 from .report import Report, ReportRow, make_witness
 
 # Unused here; the tracer in perfbench/spans.py patches these names in
-# this module, so they stay importable from it.  ``binom_shift``,
+# this module, so they stay importable from it, as does
+# ``ProcessPoolExecutor`` (see ``__getattr__`` below).  ``binom_shift``,
 # ``psi_diff`` and ``psi1_diff`` are the names of builders that no longer
 # exist; they stay, bound to the factor builders, until the tracer stops
 # patching them.
@@ -687,6 +687,23 @@ def _execute(cells: list[tuple], workers: int, oracle: str) -> Report:
         return Report(_run_batch(cells, oracle))
     size = -(-len(cells) // (4 * workers))
     batches = [cells[i : i + size] for i in range(0, len(cells), size)]
-    with ProcessPoolExecutor(max_workers=min(workers, len(batches))) as pool:
+    # looked up by name at each sweep, so that a patched class is the one started
+    pool_class = globals().get("ProcessPoolExecutor") or __getattr__("ProcessPoolExecutor")
+    with pool_class(max_workers=min(workers, len(batches))) as pool:
         futures = [pool.submit(_run_batch, batch, oracle) for batch in batches]
         return Report([row for f in futures for row in f.result()])
+
+
+def __getattr__(name: str):
+    """Import ``ProcessPoolExecutor`` on first use of the name.
+
+    Loading it loads ``multiprocessing``, which only a pool of two or
+    more workers needs, so ``import hforge`` leaves it out.  The class is
+    then kept in the module, where a test or a tracer can patch it.
+    """
+    if name != "ProcessPoolExecutor":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from concurrent.futures import ProcessPoolExecutor
+
+    globals()[name] = ProcessPoolExecutor
+    return ProcessPoolExecutor

@@ -10,6 +10,10 @@ identity failure, 2 on usage or parse errors.
 
 from __future__ import annotations
 
+# The pool stack that ``import hforge`` leaves out: ``verify`` and
+# ``bench`` take ``--workers``, and a forked worker inherits it either
+# way, so the CLI loads it at start-up rather than inside a timed sweep.
+import concurrent.futures.process  # noqa: F401
 import os
 import time
 from dataclasses import dataclass, field

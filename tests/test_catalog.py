@@ -47,6 +47,18 @@ def timeless(report):
     return [dataclasses.replace(r, elapsed_ns=0) for r in report.rows]
 
 
+def fresh_interpreter(code):
+    """The standard output of ``code`` run by a new interpreter on ``src``."""
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    return out.stdout
+
+
 def pool_with_start_method(monkeypatch, method):
     """Make the catalog's pools start their workers by ``method``."""
     from hforge import catalog
@@ -129,25 +141,31 @@ class TestStatements:
 
     def test_importing_the_package_does_not_load_the_language(self):
         code = "import sys, hforge; print('hforge.dsl' in sys.modules)"
-        out = subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True,
-            text=True,
-            check=True,
-            env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
-        )
-        assert out.stdout.strip() == "False"
+        assert fresh_interpreter(code).strip() == "False"
+
+    def test_only_a_pool_loads_the_pool_stack(self):
+        # In a fresh interpreter, since in this one the name may be resolved.
+        code = """
+import dataclasses, sys, hforge
+stack = ("multiprocessing", "concurrent.futures.process")
+def loaded():
+    return [m in sys.modules for m in stack]
+def timeless(report):
+    return [dataclasses.replace(r, elapsed_ns=0) for r in report.rows]
+serial = hforge.verify_all(3)
+print(loaded())
+pooled = hforge.verify_all(3, workers=2)
+print(loaded(), timeless(pooled) == timeless(serial), serial.total)
+"""
+        assert fresh_interpreter(code).splitlines() == ["[False, False]", "[True, True] True 117"]
+
+    def test_importing_the_cli_loads_the_pool_stack(self):
+        code = "import sys, hforge.cli; print('concurrent.futures.process' in sys.modules)"
+        assert fresh_interpreter(code).strip() == "True"
 
     def test_importing_the_cli_does_not_load_the_oracle(self):
         code = "import sys, hforge.cli; print('hforge.oracle' in sys.modules)"
-        out = subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True,
-            text=True,
-            check=True,
-            env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
-        )
-        assert out.stdout.strip() == "False"
+        assert fresh_interpreter(code).strip() == "False"
 
     def test_a_catalog_entry_pickles_as_itself(self):
         entry = lookup("THM-2.4")

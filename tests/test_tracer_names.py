@@ -6,9 +6,14 @@ imports only the standard library, so it is loaded by path here and its
 tables are read, without installing the tracer.
 """
 
+import concurrent.futures
 import importlib
 import importlib.util
 from pathlib import Path
+
+import pytest
+
+from hforge import catalog
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -46,3 +51,13 @@ def test_every_method_span_exists():
 def test_every_harmonic_site_imports():
     for mod, _ in spans.HARMONIC_SITES:
         importlib.import_module(mod)
+
+
+def test_the_pool_name_resolves_and_no_other():
+    # spans.py wraps catalog.ProcessPoolExecutor to count pools, and probes
+    # the HARMONIC_SITES names with hasattr, so the module's __getattr__
+    # must answer that one name only.
+    assert getattr(catalog, "ProcessPoolExecutor") is concurrent.futures.ProcessPoolExecutor
+    with pytest.raises(AttributeError, match="no_such_name"):
+        getattr(catalog, "no_such_name")
+    assert not hasattr(catalog, "_H")
