@@ -29,7 +29,8 @@ The package is layered bottom-up:
     The ``hforge`` command line front end.
 
 Importing the package loads neither ``dsl``, ``oracle`` nor
-``multiprocessing``; each is loaded on first use.
+``multiprocessing``; each is loaded on first use, ``dsl`` also by
+reading an entry's ``domain``, which is derived from its statements.
 """
 
 from .bivar import BiFrac, BiPoly, FactoredFrac, bifrac_eq, cross_difference, ffsum

@@ -2,14 +2,16 @@
 
 Each entry states one identity under a stable tag: its two sides as
 expression-language source (see :mod:`hforge.dsl`), a citation anchor,
-the value domain (``Q``, ``Q(s)``, ``Q(x)``, or ``Q(s,x)``), and
-parameter constraints.  A side is parsed and checked on its first
-evaluation and evaluated exactly by :func:`hforge.dsl.eval`, which hands
-back :class:`~hforge.bivar.BiFrac` for cross-multiplied comparison.
+and parameter constraints.  Its value domain (``Q``, ``Q(s)``, ``Q(x)``,
+or ``Q(s,x)``) is derived from the names its statements use.  A side is
+parsed and checked on its first evaluation and evaluated exactly by
+:func:`hforge.dsl.eval`, which hands back :class:`~hforge.bivar.BiFrac`
+for cross-multiplied comparison.
 """
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field, fields
 from typing import Mapping, Sequence
@@ -51,12 +53,13 @@ class Side:
     importing the catalog does not import the language.
     """
 
-    __slots__ = ("source", "params", "_ast")
+    __slots__ = ("source", "params", "_ast", "_symbols")
 
     def __init__(self, source: str, params: tuple[str, ...] = ()):
         self.source = source
         self.params = params
         self._ast = None
+        self._symbols = None
 
     def __reduce__(self):
         # by statement: the checked tree holds its compiled form's
@@ -76,6 +79,15 @@ class Side:
                 raise ValueError(f"bad statement {self.source!r}: {ast[0]}")
             self._ast = ast
         return self._ast
+
+    @property
+    def symbols(self) -> frozenset:
+        """Which of s and x the side depends on (``dsl.symbols``)."""
+        if self._symbols is None:
+            from . import dsl
+
+            self._symbols = dsl.symbols(self.source)
+        return self._symbols
 
     def __call__(self, n: int, params: Params | None = None) -> BiFrac:
         from . import dsl
@@ -105,12 +117,12 @@ class ParamSpec:
 
 @dataclass(frozen=True, eq=False)
 class IdentityEntry:
-    """One identity: tag, citation anchor, domain, and its two sides.
+    """One identity: tag, citation anchor, and its two sides.
 
     ``lhs`` and ``rhs`` map ``(n, params)`` to :class:`BiFrac`.  Entries
     with alternative right sides (INTRO-2) list them in ``rhs_variants``;
     variants named in ``expected_fail_variants`` are known-bad forms kept
-    for auditability.
+    for auditability.  ``domain`` is derived from the sides' names.
 
     An entry pickles as its tag when it is the one the catalog holds under
     that tag, so a pool worker gets it back by ``lookup``; any other entry
@@ -119,7 +131,6 @@ class IdentityEntry:
 
     tag: str
     anchor: str
-    domain: str
     lhs: Side
     rhs: Side
     n_min: int = 1
@@ -131,6 +142,13 @@ class IdentityEntry:
     @property
     def id(self) -> str:
         return self.tag
+
+    @functools.cached_property
+    def domain(self) -> str:
+        """``Q``, ``Q(s)``, ``Q(x)`` or ``Q(s,x)``, by the sides' ``symbols``."""
+        sides = (self.lhs, self.rhs, *self.rhs_variants.values())
+        found = frozenset().union(*(side.symbols for side in sides))
+        return f"Q({','.join(sorted(found))})" if found else "Q"
 
     def validate(self, n: int, params: Params) -> None:
         if not isinstance(n, int) or isinstance(n, bool):
@@ -175,7 +193,7 @@ class IdentityEntry:
 # ---------------------------------------------------------------------------
 
 
-def _entry(tag, anchor, domain, lhs, rhs, **kw) -> IdentityEntry:
+def _entry(tag, anchor, lhs, rhs, **kw) -> IdentityEntry:
     names = tuple(spec.name for spec in kw.get("extra_params", ()))
     variants = {
         name: Side(source, names)
@@ -184,7 +202,6 @@ def _entry(tag, anchor, domain, lhs, rhs, **kw) -> IdentityEntry:
     return IdentityEntry(
         tag=tag,
         anchor=anchor,
-        domain=domain,
         lhs=Side(lhs, names),
         rhs=Side(rhs, names),
         rhs_variants=variants,
@@ -203,14 +220,12 @@ _ENTRIES: tuple[IdentityEntry, ...] = (
     _entry(
         "THM-2.1",
         'Eq. (14), "there holds the following identity"',
-        "Q(s,x)",
         "sum(k=0..n, CS(n,k)*x^k)",
         "(1+x)^n * (1 + s*sum(k=0..n-1, CS(k,k)/(k+1) * (x/(1+x))^(k+1)))",
     ),
     _entry(
         "THM-2.2",
         'Eq. (16), "$\\psi(s+n+1)-\\psi(s+n-k+1)\\}x^k$"',
-        "Q(s,x)",
         "sum(k=1..n, CS(n,k)*PSID(n+1,n-k+1)*x^k)",
         (
             "(1+x)^n * sum(k=0..n-1, CS(k,k)/(k+1) * (1 + s*PSID(k+1,1))"
@@ -220,14 +235,12 @@ _ENTRIES: tuple[IdentityEntry, ...] = (
     _entry(
         "COR-2.3",
         'Eq. (17), "by taking $x=-1$"',
-        "Q(s)",
         "sum(k=0..n, (-1)^k * CS(n,k)*PSID(n+1,n-k+1))",
         "(-1)^n/n * CS(n-1,n-1) * (1 + s*PSID(n,1))",
     ),
     _entry(
         "THM-2.4",
         "Eq. (18), \"$\\psi'(s+n+1)-\\psi'(s+n-k+1)$\"",
-        "Q(s,x)",
         "sum(k=0..n, CS(n,k)*(PSID(n+1,n-k+1)^2 + PSI1D(n+1,n-k+1))*x^k)",
         (
             "(1+x)^n * sum(k=0..n-1, CS(k,k)/(k+1)"
@@ -237,21 +250,18 @@ _ENTRIES: tuple[IdentityEntry, ...] = (
     _entry(
         "COR-2.5",
         'Eq. (19), "If we write Eq. (18) at $x=-1$"',
-        "Q(s)",
         "sum(k=0..n, (-1)^k * CS(n,k)*(PSID(n+1,n-k+1)^2 + PSI1D(n+1,n-k+1)))",
         "(-1)^n/n * CS(n-1,n-1) * (2*PSID(n,1) + s*(PSID(n,1)^2 + PSI1D(n,1)))",
     ),
     _entry(
         "THM-2.6",
         'Eq. (20), "$H_n+ s\\sum_{k=0}^{n-1}$"',
-        "Q(s)",
         "sum(k=1..n, CS(n,k)*(-1)^(k-1)/k)",
         "H(n) + s*sum(k=0..n-1, (-1)^k * CS(k,k)/((k+1)^2 * C(n,k+1)))",
     ),
     _entry(
         "THM-2.7",
         'Eq. (23), "follows immediately from differentiating both sides of (20)"',
-        "Q(s)",
         "sum(k=1..n, (-1)^(k-1)/k * CS(n,k)*PSID(n+1,n-k+1))",
         (
             "sum(k=0..n-1, (-1)^k * CS(k,k)/((k+1)^2 * C(n,k+1)))"
@@ -261,7 +271,6 @@ _ENTRIES: tuple[IdentityEntry, ...] = (
     _entry(
         "THM-2.8",
         'Eq. (24), "differentiate both sides of (23)"',
-        "Q(s)",
         "sum(k=1..n, (-1)^(k-1)/k * CS(n,k)*(PSID(n+1,n-k+1)^2 + PSI1D(n+1,n-k+1)))",
         (
             "2*sum(k=0..n-1, (-1)^k * CS(k,k)/((k+1)^2 * C(n,k+1)) * PSID(k+1,1))"
@@ -272,7 +281,6 @@ _ENTRIES: tuple[IdentityEntry, ...] = (
     _entry(
         "THM-2.9",
         'Eq. (25), "$\\frac{H_n^2+H_n^{(2)}}{2}+s\\sum$"',
-        "Q(s)",
         "sum(k=1..n, CS(n,k)*(-1)^(k-1)/k^2)",
         (
             "(H(n)^2 + Hr(n,2))/2"
@@ -282,7 +290,6 @@ _ENTRIES: tuple[IdentityEntry, ...] = (
     _entry(
         "THM-2.10",
         'Eq. (31), "differentiating both sides of the equation (25)"',
-        "Q(s)",
         "sum(k=1..n, CS(n,k)*(-1)^(k-1)/k^2 * PSID(n+1,n-k+1))",
         (
             "sum(k=0..n-1, (-1)^k/(k+1) * CS(k,k)*(H(n)-H(k))/((n-k)*C(n,k)))"
@@ -293,7 +300,6 @@ _ENTRIES: tuple[IdentityEntry, ...] = (
     _entry(
         "THM-2.11",
         'Eq. (32), "differentiating both sides of the equation (31)"',
-        "Q(s)",
         "sum(k=1..n, CS(n,k)*(-1)^(k-1)/k^2 * (PSID(n+1,n-k+1)^2 + PSI1D(n+1,n-k+1)))",
         (
             "2*sum(k=0..n-1, (-1)^k/(k+1) * CS(k,k)*(H(n)-H(k))/((n-k)*C(n,k))"
@@ -305,14 +311,12 @@ _ENTRIES: tuple[IdentityEntry, ...] = (
     _entry(
         "ID-1",
         'Eq. (33), "$(-1)^n\\binom{s+n-1}{n}$"',
-        "Q(s)",
         "sum(k=0..n, (-1)^k * CS(n,k))",
         "(-1)^n * CS(n-1,n)",
     ),
     _entry(
         "ID-2",
         'Eq. (34), "the replacement $s\\to s-n$"',
-        "Q(s)",
         "sum(k=0..n, (-1)^k * CS(0,k))",
         "(-1)^n * CS(-1,n)",
         note=(
@@ -324,70 +328,60 @@ _ENTRIES: tuple[IdentityEntry, ...] = (
     _entry(
         "ID-3",
         '§3 Identity 3, "$\\frac{2n+1}{2^{2n}}\\binom{2n}{n}$"',
-        "Q",
         "sum(k=0..n, C(2*k,k)/4^k)",
         "(2*n+1)/4^n * C(2*n,n)",
     ),
     _entry(
         "ID-4",
         '§3 Identity 4, "$2H_{2n}-H_n-\\frac{4n}{2n+1}$"',
-        "Q",
         "sum(k=1..n, C(2*k,k)/4^k * (2*H(2*k) - H(k)))",
         "(2*n+1)/4^n * C(2*n,n) * (2*H(2*n) - H(n) - 4*n/(2*n+1))",
     ),
     _entry(
         "ID-5",
         'Eq. (43), "originally due to Euler"',
-        "Q",
         "sum(k=1..n, (-1)^(k-1)/k * C(n,k))",
         "H(n)",
     ),
     _entry(
         "ID-6",
         'Eq. (44), "$H_n^2+\\sum_{k=1}^{n}\\frac{(-1)^{k}}{k^2\\binom{n}{k}}$"',
-        "Q",
         "sum(k=1..n, (-1)^(k-1)/k * C(n,k)*H(n-k))",
         "H(n)^2 + sum(k=1..n, (-1)^k/(k^2 * C(n,k)))",
     ),
     _entry(
         "ID-7",
         'Eq. (45), "$H_n-\\sum_{k=1}^{n}\\frac{1}{k}\\left(\\frac{x}{1+x}\\right)^k$"',
-        "Q(x)",
         "sum(k=0..n, C(n,k)*H(n-k)*x^k)",
         "(1+x)^n * (H(n) - sum(k=1..n, 1/k * (x/(1+x))^k))",
     ),
     _entry(
         "ID-8",
         '§3 Identity 8, "$2^n\\left[H_n-\\sum_{k=1}^{n}\\frac{1}{k2^k}\\right]$"',
-        "Q",
         "sum(k=0..n, C(n,k)*H(k))",
         "2^n * (H(n) - sum(k=1..n, 1/(k*2^k)))",
     ),
     _entry(
         "ID-9",
         'Eq. (48), "$H_n^2+H_n^{(2)}+2\\sum$"',
-        "Q(x)",
         "sum(k=1..n, C(n,k)*(H(k)^2 + Hr(k,2))*x^k)",
         "(1+x)^n * (H(n)^2 + Hr(n,2) + 2*sum(k=1..n, (H(k-1) - H(n))/(k*(1+x)^k)))",
     ),
     _entry(
         "ID-10",
         '§3 Identity 10, "$=-\\frac{2}{n^2}$"',
-        "Q",
         "sum(k=1..n, (-1)^k * C(n,k)*(H(k)^2 + Hr(k,2)))",
         "-2/n^2",
     ),
     _entry(
         "ID-11",
         'Eq. (51), "$\\frac{(-1)^n-1}{n+1}$"',
-        "Q",
         "sum(k=1..n, (-1)^k/(k*C(n,k)))",
         "((-1)^n - 1)/(n+1)",
     ),
     _entry(
         "ID-12",
         '§3 Identity 12, "$H_n^3+H_nH_n^{(2)}+2\\sum$"',
-        "Q",
         "sum(k=1..n, (-1)^(k-1)/k * C(n,k)*(H(n-k)^2 + Hr(n-k,2)))",
         (
             "H(n)^3 + H(n)*Hr(n,2)"
@@ -397,7 +391,6 @@ _ENTRIES: tuple[IdentityEntry, ...] = (
     _entry(
         "ID-13",
         'Eq. (53), "$(m-1)H_{(m-1)n}-\\frac{1}{mn}$"',
-        "Q",
         _ID13_LHS,
         _ID13_RHS,
         extra_params=_M_GRID,
@@ -405,7 +398,6 @@ _ENTRIES: tuple[IdentityEntry, ...] = (
     _entry(
         "ID-14",
         '§3 Identity 14, "$H_n-\\frac{1}{2n}$"',
-        "Q",
         _ID13_LHS,
         _ID13_RHS,
         extra_params=_M_PAIR,
@@ -419,35 +411,30 @@ _ENTRIES: tuple[IdentityEntry, ...] = (
     _entry(
         "ID-15",
         '§3 Identity 15, "$\\frac{(-1)^{n}H_{n+1}}{n+1}+\\sum$"',
-        "Q",
         "sum(k=1..n, (-1)^k * H(k)/(k*C(n,k)))",
         "(-1)^n * H(n+1)/(n+1) + sum(k=1..n+1, (-1)^k/(k^2 * C(n+1,k)))",
     ),
     _entry(
         "ID-16",
         '§3 Identity 16, "$\\frac{1}{2n-1}$"',
-        "Q",
         "sum(k=0..n, (-1)^(k-1) * 4^k * C(n,k)/C(2*k,k))",
         "1/(2*n-1)",
     ),
     _entry(
         "ID-17",
         'Eq. (61), "$\\frac{H_n^2+H_n^{(2)}}{2}$"',
-        "Q",
         "sum(k=1..n, C(n,k)*(-1)^(k-1)/k^2)",
         "(H(n)^2 + Hr(n,2))/2",
     ),
     _entry(
         "ID-18",
         '§3 Identity 18, "$\\frac{1-(-1)^n}{(n+1)^2}-\\frac{H_n}{n+1}$"',
-        "Q",
         "sum(k=1..n, (-1)^k * H(n-k)/(k*C(n,k)))",
         "(1 - (-1)^n)/(n+1)^2 - H(n)/(n+1)",
     ),
     _entry(
         "ID-19",
         'Eq. (65), "$\\frac{H_n\\left(H_n^2+H_n^{(2)}\\right)}{2}-\\sum$"',
-        "Q",
         "sum(k=1..n, (-1)^(k-1)/k^2 * C(n,k)*H(n-k))",
         (
             "H(n)*(H(n)^2 + Hr(n,2))/2"
@@ -457,7 +444,6 @@ _ENTRIES: tuple[IdentityEntry, ...] = (
     _entry(
         "ID-20",
         '§3 Identity 20, "$\\frac{\\left(H_n^2+H_n^{(2)}\\right)^2}{2}$"',
-        "Q",
         "sum(k=1..n, (-1)^(k-1)/k^2 * C(n,k)*(H(n-k)^2 + Hr(n-k,2)))",
         (
             "(H(n)^2 + Hr(n,2))^2/2"
@@ -467,14 +453,12 @@ _ENTRIES: tuple[IdentityEntry, ...] = (
     _entry(
         "INTRO-1",
         '§1, "$\\binom{2n}{n}[2H_n-H_{2n}]$"',
-        "Q",
         "sum(k=0..n, C(n,k)^2 * H(k))",
         "C(2*n,n)*(2*H(n) - H(2*n))",
     ),
     _entry(
         "INTRO-2",
         '§1, "$\\frac{4^n}{n}\\binom{2n}{n}^2$"',
-        "Q",
         "sum(k=0..n, (-1)^k * C(n,k)*(H(k) - 2*H(2*k)))",
         "4^n/(n*C(2*n,n))",
         rhs_variants={
@@ -491,7 +475,6 @@ _ENTRIES: tuple[IdentityEntry, ...] = (
     _entry(
         "INTRO-3",
         '§1, "$H_n-H_{2n}-\\frac{2}{n}$"',
-        "Q",
         "sum(k=0..n, (-1)^k * C(n,k)*H(n+k)^2)",
         "1/(n*C(2*n,n)) * (H(n) - H(2*n) - 2/n)",
     ),
@@ -664,7 +647,8 @@ def verify_all(
     selected = [lookup(t) for t in tags] if tags is not None else list(_ENTRIES)
     cells: list[tuple] = []
     for entry in selected:
-        top = min(n_max, bivariate_cap) if entry.domain == "Q(s,x)" else n_max
+        bivariate = "s" in entry.domain and "x" in entry.domain
+        top = min(n_max, bivariate_cap) if bivariate else n_max
         lo = max(n_min, entry.n_min)
         if top < lo:
             continue

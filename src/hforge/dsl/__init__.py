@@ -7,9 +7,10 @@ its compiled form into an exact bivariate fraction, and
 :func:`check_identity` sweeps an identity over a range of n into a
 report.  Corpus files (one named identity per line) load via
 :func:`load_corpus`; :func:`pretty_print` renders trees back to source.
+:func:`symbols` tells from its names which of s and x a statement uses.
 """
 
-from .checker import BUILTIN_ARITY, check
+from .checker import BUILTIN_ARITY, check, symbols
 from .corpus import CorpusEntry, CorpusIssue, load_corpus, parse_corpus
 from .evaluator import EvalError, check_identity, eval
 from .nodes import (
@@ -68,4 +69,5 @@ __all__ = [
     "parse_corpus",
     "pretty_print",
     "shift_spans",
+    "symbols",
 ]

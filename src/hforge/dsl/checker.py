@@ -6,8 +6,8 @@ in an earlier domain embeds in every later one); binary operators join
 their operand domains.  The free variables are ``n`` and sum binders,
 which are integers, ``s``, a rational-function indeterminate, ``x``, a
 bivariate one, and any integer parameters the caller declares; a sum
-binder may not reuse the name of ``n``, ``s``, ``x`` or a parameter.
-Arguments of the builtins, sum bounds, and exponents must be
+binder may not reuse the name of ``n``, ``s``, ``x``, a parameter or a
+builtin.  Arguments of the builtins, sum bounds, and exponents must be
 integer-valued expressions.
 """
 
@@ -32,6 +32,7 @@ from .nodes import (
     Sum,
     Var,
 )
+from .parser import NAME
 
 INTEGER = "integer"
 RATIONAL = "rational"
@@ -52,6 +53,16 @@ _BUILTIN_RESULT = {
 }
 
 _FREE_VARS = {"n": INTEGER, "s": RATFUNC, "x": BIFRAC}
+
+
+def symbols(source: str) -> frozenset:
+    """Which of s and x the statement ``source`` depends on, read off its
+    names with no parse: a ``ratfunc`` name gives s, a ``bifrac`` one x.
+    No sum binder or parameter may take the name of a free variable or a
+    builtin, so this is exact for every statement that checks."""
+    names = {**_FREE_VARS, **_BUILTIN_RESULT}
+    found = {names.get(name) for name in NAME.findall(source)}
+    return frozenset(v for d, v in ((RATFUNC, "s"), (BIFRAC, "x")) if d in found)
 
 
 def _join(a: str, b: str) -> str:
@@ -158,10 +169,10 @@ def check(ast: Ast, params: Iterable[str] = ()) -> Union[Ast, List[Diagnostic]]:
     """
     scope = dict(_FREE_VARS)
     for name in params:
-        if name in scope:
+        if name in scope or name in BUILTIN_ARITY:
             raise ValueError(f"parameter {name!r} shadows a free variable")
         scope[name] = INTEGER
-    checker = _Checker(scope)
+    checker = _Checker({*scope, *BUILTIN_ARITY})
     checker.visit(ast, scope)
     if checker.diags:
         return checker.diags

@@ -21,6 +21,7 @@ list, never both.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Union
@@ -53,6 +54,8 @@ class _Token:
 
 
 _OPS = ("==", "..", "+", "-", "*", "/", "^", "(", ")", ",", "=")
+# the NAME token, which ``checker.symbols`` scans for too
+NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
 def _lex(src: str) -> Union[List[_Token], List[Diagnostic]]:
@@ -70,12 +73,10 @@ def _lex(src: str) -> Union[List[_Token], List[Diagnostic]]:
             toks.append(_Token("INT", src[i:j], (i, j)))
             i = j
             continue
-        if c.isalpha() and c.isascii() or c == "_":
-            j = i + 1
-            while j < n and (src[j].isalnum() and src[j].isascii() or src[j] == "_"):
-                j += 1
-            toks.append(_Token("NAME", src[i:j], (i, j)))
-            i = j
+        name = NAME.match(src, i)
+        if name:
+            toks.append(_Token("NAME", name.group(), name.span()))
+            i = name.end()
             continue
         for op in _OPS:
             if src.startswith(op, i):

@@ -37,7 +37,7 @@ serves every cell of a sweep, ``point_memo_info`` reports its use and
 How many points a cell needs comes from its statements: ``degree_bound``
 runs the degree-and-pole analysis of ``hforge.degrees`` on both sides and
 bounds the degrees in s and x of the numerator of L - R over the lcm of
-their denominators.  The checked root domains of the sides settle some
+their denominators.  The sides' symbols (``Side.symbols``) settle some
 cells with no analysis: sides free of s and x need one point, and the x
 grid of ``integer_s_check`` needs the analysis only when a side carries
 x.  A denominator key that vanishes on the grid raises
@@ -68,7 +68,6 @@ from itertools import repeat
 from typing import Mapping
 
 from .catalog import IdentityEntry, Side
-from .dsl.checker import BIFRAC, RATFUNC
 from .dsl.compiled import compiled
 from .report import ReportRow
 from .special import (
@@ -520,10 +519,10 @@ def _walk(side: Side, n: int, params: Params, ctxs=(), xs=(), shared=False):
 
 
 def _derived(lhs: Side, rhs: Side, n: int, params: Params):
-    """``degrees.cell_bound`` of a cell, with no walk when the sides' root
-    domains (``dsl.checker``) settle it: free of s and x, the difference
-    has degree 0 in both."""
-    if {lhs.ast.domain, rhs.ast.domain}.isdisjoint((RATFUNC, BIFRAC)):
+    """``degrees.cell_bound`` of a cell, with no walk when the sides'
+    symbols settle it: free of s and x, the difference has degree 0 in
+    both."""
+    if not lhs.symbols and not rhs.symbols:
         return (0, 0), ((), ())
     # imported on first use, so that a process that only imports the
     # oracle does not compile the analysis
@@ -623,7 +622,7 @@ def _integer_s_walk(entry: IdentityEntry, n: int, params: Params, rhs: Side, poi
     ctxs = [_IntegerSCtx(s0) for s0 in points]
     # only the x grid is needed here, and a side free of x has degree 0 in x
     bx = 0
-    if BIFRAC in (entry.lhs.ast.domain, rhs.ast.domain):
+    if "x" in entry.lhs.symbols | rhs.symbols:
         bx = _derived(entry.lhs, rhs, n, params)[0][1]
     xs = [Fraction(xv) for xv in range(1, bx + 2)]
     lhs_v = _walk(entry.lhs, n, params, ctxs, xs)

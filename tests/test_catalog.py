@@ -84,6 +84,18 @@ class TestCatalogShape:
             assert e.n_min >= 1
             assert e.id == e.tag
 
+    def test_the_domain_is_derived_from_the_sides(self):
+        # reading it scans the statements' names and parses none of them
+        entry = dataclasses.replace(lookup("THM-2.6"), rhs=Side("H(n) + s*x"))
+        assert entry.domain == "Q(s,x)"
+        assert entry.rhs._ast is None
+        assert dataclasses.replace(entry, lhs=Side("H(n)"), rhs=Side("x")).domain == "Q(x)"
+        assert lookup("THM-2.6").domain == "Q(s)"
+        # a variant counts like a right side
+        entry = lookup("INTRO-2")
+        variants = {"printed": Side("s"), "corrected": entry.rhs}
+        assert dataclasses.replace(entry, rhs_variants=variants).domain == "Q(s)"
+
     def test_lookup(self):
         assert lookup("ID-5").tag == "ID-5"
         with pytest.raises(KeyError):
@@ -181,6 +193,11 @@ print(loaded(), timeless(pooled) == timeless(serial), serial.total)
         assert copy.lhs._ast is None
         assert (copy.lhs.source, copy.lhs.params) == (entry.lhs.source, entry.lhs.params)
         assert bifrac_eq(copy.lhs(2), entry.lhs(2))
+
+    def test_a_copy_pickled_by_value_keeps_its_domain(self):
+        other = dataclasses.replace(lookup("THM-2.1"), tag="THM-9.9")
+        assert other.domain == "Q(s,x)"
+        assert pickle.loads(pickle.dumps(other)).domain == "Q(s,x)"
 
     def test_language_does_not_import_the_catalog(self):
         for path in (ROOT / "src" / "hforge" / "dsl").glob("*.py"):

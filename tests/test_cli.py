@@ -45,6 +45,19 @@ class TestList:
         r = invoke(runner, "list", "--id", "ID-99")
         assert r.exit_code == 2
 
+    # sha256 of both listings; the domain column is derived from the
+    # statements, so a change in how it is derived changes them
+    GOLDEN_LIST_SHA256 = {
+        "text": "7d329f286f6bfc1351f415293e4c72e50476e14a6e2ed1ab9cf0da6bc130c7d7",
+        "json": "1e9b80bb2c44eb81f12433e490c880e7ca2fc857c7a8b765ada1e35573f28db2",
+    }
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_listing_is_byte_identical_to_the_golden_one(self, runner, fmt):
+        r = invoke(runner, "list", "--format", fmt)
+        assert r.exit_code == 0
+        assert hashlib.sha256(r.stdout_bytes).hexdigest() == self.GOLDEN_LIST_SHA256[fmt]
+
 
 class TestVerify:
     def test_requires_a_selection(self, runner):

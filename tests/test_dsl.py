@@ -24,14 +24,16 @@ from hforge.dsl import (
     Var,
     check,
     check_identity,
+    iter_children,
     load_corpus,
     parse,
     parse_corpus,
     parse_expr,
     pretty_print,
+    symbols,
 )
 from hforge.bivar import FactoredFrac
-from hforge.catalog import Side
+from hforge.catalog import Side, catalog as catalog_entries
 from hforge.dsl import eval as dsl_eval
 from hforge.dsl.evaluator import product_memo_info
 from hforge.special import (
@@ -41,6 +43,7 @@ from hforge.special import (
     harmonic,
     psi_factor,
 )
+from test_oracle import ONE_BUILTIN
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus" / "paper.ids"
 
@@ -200,14 +203,19 @@ class TestChecker:
         assert diags(check(ok(parse_expr("C(m*n, n)")))) == [
             ((2, 3), "unbound variable 'm'")
         ]
-        with pytest.raises(ValueError):
-            check(ok(parse_expr("s")), params=("s",))
+        for name in ("s", "CS"):
+            with pytest.raises(ValueError, match="shadows a free variable"):
+                check(ok(parse_expr("n")), params=(name,))
 
     def test_a_binder_may_not_shadow_a_free_variable(self):
+        # nor a builtin's name, so that the names a statement uses fix
+        # which of s and x it depends on (``symbols``)
         for src, name, span in [
             ("sum(s=1..n, s)", "s", (4, 5)),
             ("sum( x = 1..n, 1)", "x", (5, 6)),
             ("sum(n=1..3, n)", "n", (4, 5)),
+            ("sum(CS=1..n, CS)", "CS", (4, 6)),
+            ("sum(H=1..n, H(H))", "H", (4, 5)),
         ]:
             assert diags(check(ok(parse_expr(src)))) == [
                 (span, f"sum binder {name!r} shadows a free variable")
@@ -228,6 +236,53 @@ class TestChecker:
         got = check(ok(parse("H(y) == z")))
         msgs = sorted(m for _, m in diags(got))
         assert msgs == ["unbound variable 'y'", "unbound variable 'z'"]
+
+
+def _leaf_symbols(tree):
+    """The {s, x} of a checked tree, from the annotated domains of its
+    variables and calls."""
+    found, stack = set(), [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (Var, Call)) and node.domain in ("ratfunc", "bifrac"):
+            found.add("s" if node.domain == "ratfunc" else "x")
+        stack.extend(iter_children(node))
+    return found
+
+
+def _statements():
+    """(source, params) of every catalog side and variant, both sides of
+    each corpus line and the one-builtin statements of the oracle tests."""
+    sides = [
+        (side.source, side.params)
+        for e in catalog_entries()
+        for side in (e.lhs, e.rhs, *e.rhs_variants.values())
+    ]
+    entries, issues = load_corpus(CORPUS)
+    assert not issues
+    for entry in entries:
+        body = entry.text.split(":", 1)[1]
+        sides.extend((half, ()) for half in body.split("=="))
+    sides.extend((source, ()) for source in ONE_BUILTIN)
+    return sides
+
+
+class TestSymbols:
+    def test_the_name_scan_agrees_with_the_checked_tree(self):
+        statements = _statements()
+        assert len(statements) == 70 + 2 * 38 + len(ONE_BUILTIN)
+        for source, params in statements:
+            got = symbols(source)
+            tree = ok(check(ok(parse_expr(source)), params=params))
+            assert got == _leaf_symbols(tree), source
+            assert (not got) == (tree.domain in ("integer", "rational")), source
+            assert ("x" in got) == (tree.domain == "bifrac"), source
+
+    def test_names_are_whole_tokens(self):
+        assert symbols("H(n) + Hr(n,2) + C(n,k)") == frozenset()
+        assert symbols("sum(xs=1..n, xs) + s2 + CSx") == frozenset()
+        assert symbols("2x + 3s") == {"s", "x"}
+        assert symbols("PSI1D(n,1) == PSID(n,1)") == {"s"}
 
 
 class TestEvaluator:
