@@ -39,6 +39,9 @@ from .special import clear_memos
 
 _FORMATS = click.Choice(["text", "json", "csv"])
 _ORACLES = click.Choice(ORACLE_MODES)
+# the right-hand-side variants that entries state, and those entries
+_VARIANTS = click.Choice(list(dict.fromkeys(v for e in catalog() for v in e.rhs_variants)))
+_VARIANT_TAGS = ", ".join(e.tag for e in catalog() if e.rhs_variants)
 
 
 def _default_workers() -> int:
@@ -194,8 +197,8 @@ def list_cmd(ids, fmt):
 @click.option("--n-min", type=int, default=1, show_default=True)
 @click.option("--n-max", type=int, default=10, show_default=True)
 @click.option("--m", "m_text", default=None, help="Comma list of m values for the m-parameterized families.")
-@click.option("--variant", type=click.Choice(["printed", "corrected"]), default=None,
-              help="Right-hand-side variant; only valid with --id INTRO-2.")
+@click.option("--variant", type=_VARIANTS, default=None,
+              help=f"Right-hand-side variant; only valid with --id {_VARIANT_TAGS}.")
 @click.option("--oracle", type=_ORACLES, default="off", show_default=True,
               help="Also run the independent numeric paths and require agreement.")
 @click.option("--bivariate-cap", type=int, default=15, show_default=True,
@@ -211,8 +214,6 @@ def verify_cmd(run_all, ids, n_min, n_max, m_text, variant, oracle,
     """Verify catalog identities symbolically over a range of n."""
     if not run_all and not ids:
         raise click.UsageError("pass --all or at least one --id")
-    if variant is not None and tuple(ids) != ("INTRO-2",):
-        raise click.UsageError("--variant applies only with exactly --id INTRO-2")
     m_grid = None
     if m_text is not None:
         try:

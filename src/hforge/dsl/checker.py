@@ -9,6 +9,9 @@ bivariate one, and any integer parameters the caller declares; a sum
 binder may not reuse the name of ``n``, ``s``, ``x``, a parameter or a
 builtin.  Arguments of the builtins, sum bounds, and exponents must be
 integer-valued expressions.
+
+The domain and vocabulary tables are those of ``dsl.nodes``, re-exported
+here; the hints are rendered from them and from the declared parameters.
 """
 
 from __future__ import annotations
@@ -16,6 +19,13 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Union
 
 from .nodes import (
+    _BUILTIN_RESULT,
+    BIFRAC,
+    BUILTIN_ARITY,
+    FREE_VARS,
+    INTEGER,
+    RATFUNC,
+    RATIONAL,
     Add,
     Ast,
     Call,
@@ -34,25 +44,7 @@ from .nodes import (
 )
 from .parser import NAME
 
-INTEGER = "integer"
-RATIONAL = "rational"
-RATFUNC = "ratfunc"
-BIFRAC = "bifrac"
-
 _RANK = {INTEGER: 0, RATIONAL: 1, RATFUNC: 2, BIFRAC: 3}
-
-BUILTIN_ARITY = {"H": 1, "Hr": 2, "C": 2, "CS": 2, "PSID": 2, "PSI1D": 2}
-
-_BUILTIN_RESULT = {
-    "H": RATIONAL,
-    "Hr": RATIONAL,
-    "C": INTEGER,
-    "CS": RATFUNC,
-    "PSID": RATFUNC,
-    "PSI1D": RATFUNC,
-}
-
-_FREE_VARS = {"n": INTEGER, "s": RATFUNC, "x": BIFRAC}
 
 
 def symbols(source: str) -> frozenset:
@@ -60,7 +52,7 @@ def symbols(source: str) -> frozenset:
     names with no parse: a ``ratfunc`` name gives s, a ``bifrac`` one x.
     No sum binder or parameter may take the name of a free variable or a
     builtin, so this is exact for every statement that checks."""
-    names = {**_FREE_VARS, **_BUILTIN_RESULT}
+    names = {**FREE_VARS, **_BUILTIN_RESULT}
     found = {names.get(name) for name in NAME.findall(source)}
     return frozenset(v for d, v in ((RATFUNC, "s"), (BIFRAC, "x")) if d in found)
 
@@ -70,9 +62,13 @@ def _join(a: str, b: str) -> str:
 
 
 class _Checker:
-    def __init__(self, free: Iterable[str]):
+    def __init__(self, scope: Dict[str, str]):
         self.diags: List[Diagnostic] = []
-        self.free = frozenset(free)
+        # the names that a sum binder may not take
+        self.free = frozenset({*scope, *BUILTIN_ARITY})
+        self.unbound_hint = (
+            f"free variables are {', '.join(scope)} (plus enclosing sum binders)"
+        )
 
     def error(self, message: str, span, hint: str | None = None) -> None:
         self.diags.append(Diagnostic("error", message, span, hint))
@@ -93,7 +89,7 @@ class _Checker:
                 self.error(
                     f"unbound variable {node.name!r}",
                     node.span,
-                    hint="free variables are n, s, x (plus enclosing sum binders)",
+                    hint=self.unbound_hint,
                 )
                 return INTEGER
             return domain
@@ -135,7 +131,7 @@ class _Checker:
                 self.error(
                     f"unknown builtin {node.func!r}",
                     node.span,
-                    hint="builtins: H, Hr, C, CS, PSID, PSI1D",
+                    hint=f"builtins: {', '.join(BUILTIN_ARITY)}",
                 )
                 for arg in node.args:
                     self.visit(arg, scope)
@@ -167,12 +163,12 @@ def check(ast: Ast, params: Iterable[str] = ()) -> Union[Ast, List[Diagnostic]]:
     the same tree with every node's ``domain`` filled in, or the list of
     problems found.
     """
-    scope = dict(_FREE_VARS)
+    scope = dict(FREE_VARS)
     for name in params:
         if name in scope or name in BUILTIN_ARITY:
             raise ValueError(f"parameter {name!r} shadows a free variable")
         scope[name] = INTEGER
-    checker = _Checker({*scope, *BUILTIN_ARITY})
+    checker = _Checker(scope)
     checker.visit(ast, scope)
     if checker.diags:
         return checker.diags

@@ -67,6 +67,10 @@ class EvalError(Exception):
         self.message = message
         self.span = span
 
+    def __reduce__(self):
+        # a pool worker's error reaches the parent with its span
+        return type(self), (self.message, self.span)
+
 
 def compiled(ast):
     """The tree's ``run(alg, env)``, compiled on first use."""

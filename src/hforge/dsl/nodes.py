@@ -1,9 +1,14 @@
-"""Syntax tree for the identity expression language.
+"""Syntax tree and vocabulary of the identity expression language.
 
 Every node carries a half-open source span of byte offsets (the language
 is ASCII-only, so byte and character offsets coincide) and, after static
-checking, a value-domain annotation.  Spans and annotations are excluded
-from equality so structural comparison ignores layout.
+checking, a value-domain annotation.  ``Node`` declares both once, as
+keyword-only fields excluded from equality and repr, so structural
+comparison ignores layout; each kind declares only its own fields.
+
+The vocabulary tables (the value domains, each builtin's arity and
+result domain, each free variable's domain) live here, where both the
+parser and the checker read them for their diagnostics' hints.
 """
 
 from __future__ import annotations
@@ -15,6 +20,25 @@ from typing import Iterator, Optional, Tuple, Union
 Span = Tuple[int, int]
 
 _NO_SPAN: Span = (0, 0)
+
+# The value domains form a chain: a value in one embeds in every later one.
+INTEGER = "integer"
+RATIONAL = "rational"
+RATFUNC = "ratfunc"
+BIFRAC = "bifrac"
+
+BUILTIN_ARITY = {"H": 1, "Hr": 2, "C": 2, "CS": 2, "PSID": 2, "PSI1D": 2}
+
+_BUILTIN_RESULT = {
+    "H": RATIONAL,
+    "Hr": RATIONAL,
+    "C": INTEGER,
+    "CS": RATFUNC,
+    "PSID": RATFUNC,
+    "PSI1D": RATFUNC,
+}
+
+FREE_VARS = {"n": INTEGER, "s": RATFUNC, "x": BIFRAC}
 
 
 @dataclass
@@ -33,105 +57,84 @@ class Diagnostic:
         return text
 
 
+@dataclass
 class Node:
-    """Base class; concrete kinds are the dataclasses below."""
+    """Base class; concrete kinds are the dataclasses below.  Each takes
+    its own fields by position and ``span``/``domain`` by keyword."""
 
-    __slots__ = ()
+    span: Span = field(default=_NO_SPAN, compare=False, repr=False, kw_only=True)
+    domain: Optional[str] = field(default=None, compare=False, repr=False, kw_only=True)
 
 
-@dataclass(eq=True)
+@dataclass
 class IntLit(Node):
     value: int
-    span: Span = field(default=_NO_SPAN, compare=False, repr=False)
-    domain: Optional[str] = field(default=None, compare=False, repr=False)
 
 
-@dataclass(eq=True)
+@dataclass
 class RatLit(Node):
     value: Fraction
-    span: Span = field(default=_NO_SPAN, compare=False, repr=False)
-    domain: Optional[str] = field(default=None, compare=False, repr=False)
 
 
-@dataclass(eq=True)
+@dataclass
 class Var(Node):
     name: str
-    span: Span = field(default=_NO_SPAN, compare=False, repr=False)
-    domain: Optional[str] = field(default=None, compare=False, repr=False)
 
 
-@dataclass(eq=True)
+@dataclass
 class Neg(Node):
     child: "Expr"
-    span: Span = field(default=_NO_SPAN, compare=False, repr=False)
-    domain: Optional[str] = field(default=None, compare=False, repr=False)
 
 
-@dataclass(eq=True)
+@dataclass
 class Add(Node):
     left: "Expr"
     right: "Expr"
-    span: Span = field(default=_NO_SPAN, compare=False, repr=False)
-    domain: Optional[str] = field(default=None, compare=False, repr=False)
 
 
-@dataclass(eq=True)
+@dataclass
 class Sub(Node):
     left: "Expr"
     right: "Expr"
-    span: Span = field(default=_NO_SPAN, compare=False, repr=False)
-    domain: Optional[str] = field(default=None, compare=False, repr=False)
 
 
-@dataclass(eq=True)
+@dataclass
 class Mul(Node):
     left: "Expr"
     right: "Expr"
-    span: Span = field(default=_NO_SPAN, compare=False, repr=False)
-    domain: Optional[str] = field(default=None, compare=False, repr=False)
 
 
-@dataclass(eq=True)
+@dataclass
 class Div(Node):
     left: "Expr"
     right: "Expr"
-    span: Span = field(default=_NO_SPAN, compare=False, repr=False)
-    domain: Optional[str] = field(default=None, compare=False, repr=False)
 
 
-@dataclass(eq=True)
+@dataclass
 class Pow(Node):
     base: "Expr"
     exponent: "Expr"
-    span: Span = field(default=_NO_SPAN, compare=False, repr=False)
-    domain: Optional[str] = field(default=None, compare=False, repr=False)
 
 
-@dataclass(eq=True)
+@dataclass
 class Sum(Node):
     binder: str
     lo: "Expr"
     hi: "Expr"
     body: "Expr"
-    span: Span = field(default=_NO_SPAN, compare=False, repr=False)
-    domain: Optional[str] = field(default=None, compare=False, repr=False)
-    binder_span: Span = field(default=_NO_SPAN, compare=False, repr=False)
+    binder_span: Span = field(default=_NO_SPAN, compare=False, repr=False, kw_only=True)
 
 
-@dataclass(eq=True)
+@dataclass
 class Call(Node):
     func: str
     args: Tuple["Expr", ...]
-    span: Span = field(default=_NO_SPAN, compare=False, repr=False)
-    domain: Optional[str] = field(default=None, compare=False, repr=False)
 
 
-@dataclass(eq=True)
+@dataclass
 class Identity(Node):
     lhs: "Expr"
     rhs: "Expr"
-    span: Span = field(default=_NO_SPAN, compare=False, repr=False)
-    domain: Optional[str] = field(default=None, compare=False, repr=False)
 
 
 Expr = Union[

@@ -1,8 +1,7 @@
 """Lexer and recursive-descent parser for the identity language.
 
-Grammar (ASCII-only source; `^` binds tightest, then unary minus, then
-`*` `/`, then `+` `-`; binary operators associate left, `^` does not
-associate):
+Grammar (`^` binds tightest, then unary minus, then `*` `/`, then `+`
+`-`; binary operators associate left, `^` does not associate):
 
     identity := expr "==" expr
     expr     := term (("+"|"-") term)*
@@ -11,6 +10,12 @@ associate):
     atom     := INT | INT "/" INT | NAME | "(" expr ")"
               | NAME "(" args ")"
               | "sum" "(" NAME "=" expr ".." expr "," expr ")"
+
+The tokens are INT, ASCII digits ``[0-9]+``; NAME, ``[A-Za-z_][A-Za-z0-9_]*``;
+and the operators of ``_OPS``, longest first where one is a prefix of
+another.  Space, tab, CR and LF separate tokens, and any other character
+is an "unexpected character" diagnostic.  One compiled pattern, ``_TOKEN``,
+states all of this, so the lexer accepts exactly this vocabulary.
 
 An INT "/" INT pair is taken as one rational literal unless the second
 INT is immediately followed by "^" (so 1/2^k keeps the conventional
@@ -22,11 +27,12 @@ list, never both.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Union
+from typing import List, NamedTuple, Union
 
 from .nodes import (
+    BUILTIN_ARITY,
+    FREE_VARS,
     Add,
     Ast,
     Call,
@@ -46,8 +52,7 @@ from .nodes import (
 )
 
 
-@dataclass
-class _Token:
+class _Token(NamedTuple):
     kind: str  # INT | NAME | OP | EOF
     text: str
     span: Span
@@ -56,43 +61,31 @@ class _Token:
 _OPS = ("==", "..", "+", "-", "*", "/", "^", "(", ")", ",", "=")
 # the NAME token, which ``checker.symbols`` scans for too
 NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+# every character of a source lies in exactly one match: a token, a run
+# of whitespace (WS) or one character that starts no token (BAD)
+_TOKEN = re.compile(
+    rf"(?P<WS>[ \t\r\n]+)|(?P<INT>[0-9]+)|(?P<NAME>{NAME.pattern})"
+    rf"|(?P<OP>{'|'.join(map(re.escape, _OPS))})|(?P<BAD>.)",
+    re.DOTALL,
+)
 
 
 def _lex(src: str) -> Union[List[_Token], List[Diagnostic]]:
     toks: List[_Token] = []
-    i, n = 0, len(src)
-    while i < n:
-        c = src[i]
-        if c in " \t\r\n":
-            i += 1
-            continue
-        if c.isdigit():
-            j = i + 1
-            while j < n and src[j].isdigit():
-                j += 1
-            toks.append(_Token("INT", src[i:j], (i, j)))
-            i = j
-            continue
-        name = NAME.match(src, i)
-        if name:
-            toks.append(_Token("NAME", name.group(), name.span()))
-            i = name.end()
-            continue
-        for op in _OPS:
-            if src.startswith(op, i):
-                toks.append(_Token("OP", op, (i, i + len(op))))
-                i += len(op)
-                break
-        else:
+    for match in _TOKEN.finditer(src):
+        kind = match.lastgroup
+        if kind == "BAD":
             return [
                 Diagnostic(
                     "error",
-                    f"unexpected character {c!r}",
-                    (i, i + 1),
+                    f"unexpected character {match.group()!r}",
+                    match.span(),
                     hint="the language is ASCII: digits, names, + - * / ^ ( ) , = ..",
                 )
             ]
-    toks.append(_Token("EOF", "", (n, n)))
+        if kind != "WS":
+            toks.append(_Token(kind, match.group(), match.span()))
+    toks.append(_Token("EOF", "", (len(src), len(src))))
     return toks
 
 
@@ -100,7 +93,9 @@ class _Bail(Exception):
     pass
 
 
-_BUILTIN_HINT = "builtins: H, Hr, C, CS, PSID, PSI1D; free variables: n, s, x"
+_BUILTIN_HINT = (
+    f"builtins: {', '.join(BUILTIN_ARITY)}; free variables: {', '.join(FREE_VARS)}"
+)
 
 
 class _Parser:
@@ -143,16 +138,15 @@ class _Parser:
 
     def identity(self) -> Identity:
         lhs = self.expr()
-        if not self.at_op("=="):
-            tok = self.peek()
-            found = "end of input" if tok.kind == "EOF" else repr(tok.text)
-            self.fail(
-                f"expected '==' between the two sides, found {found}", tok.span
-            )
-        self.advance()
+        self.expect_op("==", "between the two sides")
         rhs = self.expr()
         self.expect_end()
         return Identity(lhs, rhs, span=(lhs.span[0], rhs.span[1]))
+
+    def whole_expr(self) -> Expr:
+        node = self.expr()
+        self.expect_end()
+        return node
 
     def expr(self) -> Expr:
         node = self.term()
@@ -290,27 +284,22 @@ class _Parser:
         return Sum(binder.text, lo, hi, body, span=span, binder_span=binder.span)
 
 
-def parse(source: str) -> Union[Identity, List[Diagnostic]]:
-    """Parse a full identity "LHS == RHS"."""
+def _parse(source: str, rule) -> Union[Ast, List[Diagnostic]]:
     toks = _lex(source)
     if toks and isinstance(toks[0], Diagnostic):
         return toks
     parser = _Parser(toks)
     try:
-        return parser.identity()
+        return rule(parser)
     except _Bail:
         return parser.diags
+
+
+def parse(source: str) -> Union[Identity, List[Diagnostic]]:
+    """Parse a full identity "LHS == RHS"."""
+    return _parse(source, _Parser.identity)
 
 
 def parse_expr(source: str) -> Union[Expr, List[Diagnostic]]:
     """Parse a single expression (no "==")."""
-    toks = _lex(source)
-    if toks and isinstance(toks[0], Diagnostic):
-        return toks
-    parser = _Parser(toks)
-    try:
-        node = parser.expr()
-        parser.expect_end()
-        return node
-    except _Bail:
-        return parser.diags
+    return _parse(source, _Parser.whole_expr)

@@ -28,7 +28,7 @@ from hforge.catalog import (
     verify_all,
 )
 from hforge.catalog import catalog as catalog_entries
-from hforge.dsl import check, load_corpus
+from hforge.dsl import EvalError, check, load_corpus
 from hforge.dsl import eval as dsl_eval
 from hforge.dsl.evaluator import product_memo_info
 from hforge.oracle import grid_memo_info, point_memo_info
@@ -317,6 +317,18 @@ class TestVerify:
         assert not any(r.passed or r.expected_fail for r in report.rows)
         assert all(r.witness is not None for r in report.rows)
         assert report.rows[0].witness.rhs_probe == "2"
+
+    @pytest.mark.parametrize("method", ["fork", "spawn"])
+    def test_a_pooled_sweep_raises_the_serial_eval_error(self, monkeypatch, method):
+        bad = dataclasses.replace(lookup("ID-5"), tag="BAD", rhs=Side("1/(n-1)"))
+        with pytest.raises(EvalError) as serial:
+            verify(bad, range(1, 4), workers=1)
+        pool_with_start_method(monkeypatch, method)
+        with pytest.raises(EvalError) as pooled:
+            verify(bad, range(1, 4), workers=2)
+        assert str(pooled.value) == str(serial.value) == "division by zero"
+        assert pooled.value.span == serial.value.span == (3, 6)
+        assert pickle.loads(pickle.dumps(serial.value)).span == (3, 6)
 
     def test_an_entry_outside_the_catalog_is_verified(self):
         synthetic = dataclasses.replace(lookup("ID-5"), tag="ID-99")

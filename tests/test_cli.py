@@ -247,6 +247,13 @@ class TestDslCommand:
         r = invoke(runner, "dsl", path, "--n-max", "2")
         assert r.exit_code == 2
 
+    def test_a_non_ascii_digit_is_a_diagnostic_not_a_number(self, runner, tmp_path):
+        path = self.write(tmp_path, "X : H(n) == H(n-1) + 1/n + \u0661 - 1\n")
+        r = invoke(runner, "dsl", path, "--n-max", "3")
+        assert r.exit_code == 2
+        assert f"{path}:1:28: error: unexpected character '\u0661'" in r.stderr
+        assert "pass" not in r.output
+
     def test_shipped_corpus_small_slice(self, runner):
         r = invoke(runner, "dsl", "corpus/paper.ids", "--n-max", "2")
         assert r.exit_code == 0
@@ -298,6 +305,11 @@ class TestEvalCommand:
         r = invoke(runner, "eval", "H(x)")
         assert r.exit_code == 2
         assert "integer-valued" in r.output + r.stderr
+
+    def test_non_ascii_digit_is_a_usage_failure(self, runner):
+        r = invoke(runner, "eval", "\u00b2")
+        assert r.exit_code == 2
+        assert r.stderr == "<expr>:0: error: unexpected character '\u00b2'\n"
 
     def test_malformed_fraction(self, runner):
         r = invoke(runner, "eval", "H(n)", "--s", "abc")

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from hforge.dsl import (
+    BUILTIN_ARITY,
     Add,
     Call,
     Diagnostic,
@@ -115,11 +116,17 @@ class TestParser:
         assert got.left.span == (0, 4)
         assert got.right.span == (7, 8)
 
-    def test_unexpected_character(self):
-        (span_msg,) = diags(parse_expr("H(n) $ 1"))
-        span, msg = span_msg
-        assert span == (5, 6)
-        assert "$" in msg
+    @pytest.mark.parametrize(
+        "src, span",
+        [("H(n) $ 1", (5, 6)), ("H(n) + ²", (7, 8)), ("H(n) + ١", (7, 8)),
+         ("²", (0, 1)), ("١", (0, 1))],
+    )
+    def test_unexpected_character(self, src, span):
+        # INT is ASCII digits only: a superscript or Arabic-Indic digit is
+        # neither a number nor an exception, but a diagnostic
+        ((got, msg),) = diags(parse_expr(src))
+        assert got == span
+        assert msg == f"unexpected character {src[span[0]]!r}"
 
 
 class TestGoldenDiagnostics:
@@ -148,6 +155,36 @@ class TestGoldenDiagnostics:
     def test_unbound_binder(self):
         ((span, msg),) = diags(check(ok(parse_expr("PSID(n+1, n-k+1)"))))
         assert (span, msg) == ((12, 13), "unbound variable 'k'")
+
+
+class TestHints:
+    """The hints are rendered from the vocabulary tables."""
+
+    def test_unbound_variable_hint_names_the_declared_parameters(self):
+        (unbound,) = check(ok(parse_expr("m*q")), ("m",))
+        assert unbound.message == "unbound variable 'q'"
+        assert unbound.hint == (
+            "free variables are n, s, x, m (plus enclosing sum binders)"
+        )
+
+    def test_builtin_hints_list_the_arity_table_in_order(self):
+        (unknown,) = check(ok(parse_expr("G(2)")))
+        (value,) = parse_expr(")")
+        assert value.message == "expected a value, found ')'"
+        builtins, free = value.hint.split("; ")
+        for hint in (unknown.hint, builtins):
+            assert hint.removeprefix("builtins: ").split(", ") == list(BUILTIN_ARITY)
+        assert free == "free variables: n, s, x"
+
+    def test_hints_without_parameters_are_unchanged(self):
+        (unbound,) = check(ok(parse_expr("q")))
+        (unknown,) = check(ok(parse_expr("G(2)")))
+        (value,) = parse_expr(")")
+        assert unbound.hint == "free variables are n, s, x (plus enclosing sum binders)"
+        assert unknown.hint == "builtins: H, Hr, C, CS, PSID, PSI1D"
+        assert value.hint == (
+            "builtins: H, Hr, C, CS, PSID, PSI1D; free variables: n, s, x"
+        )
 
 
 class TestChecker:
