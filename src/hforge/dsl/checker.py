@@ -54,7 +54,7 @@ def symbols(source: str) -> frozenset:
     builtin, so this is exact for every statement that checks."""
     names = {**FREE_VARS, **_BUILTIN_RESULT}
     found = {names.get(name) for name in NAME.findall(source)}
-    return frozenset(v for d, v in ((RATFUNC, "s"), (BIFRAC, "x")) if d in found)
+    return frozenset(v for v, d in FREE_VARS.items() if d != INTEGER and d in found)
 
 
 def _join(a: str, b: str) -> str:
