@@ -10,9 +10,10 @@ The package is layered bottom-up:
     fractions compared by cross-multiplication, and a factored-
     denominator accumulator for building large sums cheaply.
 ``special``
-    Harmonic numbers, integer binomial coefficients, and the memoized
+    Harmonic numbers, integer binomial coefficients, the memoized
     factored-fraction builders for shifted binomials and for digamma
-    differences realized as finite sums.
+    differences realized as finite sums, and the registry of every
+    process-wide memo (``memo_info``, ``clear_memos``).
 ``dsl``
     A small expression language for stating identities: a span-carrying
     parser, static checks, one compiled form per checked tree that takes
@@ -45,7 +46,14 @@ from .catalog import (
 )
 from .exact import ExactArithError, PoleError, ZeroDenominatorError, poly_gcd
 from .report import Report, ReportRow, Witness, make_witness
-from .special import binom_int, binom_neg3half, clear_memos, harmonic, harmonic_gen
+from .special import (
+    binom_int,
+    binom_neg3half,
+    clear_memos,
+    harmonic,
+    harmonic_gen,
+    memo_info,
+)
 
 __version__ = "0.1.0"
 
@@ -72,6 +80,7 @@ __all__ = [
     "harmonic_gen",
     "lookup",
     "make_witness",
+    "memo_info",
     "poly_gcd",
     "tags",
     "verify",

@@ -61,6 +61,17 @@ def _default_workers() -> int:
     return workers
 
 
+def _int_list(option: str, text: str) -> Tuple[int, ...]:
+    """The integers of the comma list ``text`` given to ``option``."""
+    try:
+        values = tuple(int(v) for v in text.split(",") if v.strip())
+    except ValueError:
+        raise click.UsageError(f"bad {option} list {text!r}")
+    if not values:
+        raise click.UsageError(f"{option} must list at least one value")
+    return values
+
+
 @dataclass
 class RunConfig:
     """Resolved options for one command invocation."""
@@ -214,14 +225,7 @@ def verify_cmd(run_all, ids, n_min, n_max, m_text, variant, oracle,
     """Verify catalog identities symbolically over a range of n."""
     if not run_all and not ids:
         raise click.UsageError("pass --all or at least one --id")
-    m_grid = None
-    if m_text is not None:
-        try:
-            m_grid = tuple(int(v) for v in m_text.split(",") if v.strip())
-        except ValueError:
-            raise click.UsageError(f"bad --m list {m_text!r}")
-        if not m_grid:
-            raise click.UsageError("--m must list at least one value")
+    m_grid = None if m_text is None else _int_list("--m", m_text)
     config = RunConfig(
         command="verify", n_min=n_min, n_max=n_max,
         ids=tuple(ids) if ids else None, m_grid=m_grid, fmt=fmt,
@@ -367,16 +371,9 @@ def bench_cmd(ids, n_min, n_max, workers_text, fmt, output):
     if workers_text is None:
         worker_counts = (_default_workers(),)
     else:
-        try:
-            worker_counts = tuple(
-                int(v) for v in workers_text.split(",") if v.strip()
-            )
-        except ValueError:
-            raise click.UsageError(f"bad --workers list {workers_text!r}")
-        if not worker_counts or any(w < 1 for w in worker_counts):
-            raise click.UsageError("--workers values must be >= 1")
-    if n_min < 1 or n_min > n_max:
-        raise click.UsageError("need 1 <= n-min <= n-max")
+        worker_counts = _int_list("--workers", workers_text)
+    # validates the n range and the smallest worker count as verify does
+    RunConfig(command="bench", n_min=n_min, n_max=n_max, workers=min(worker_counts))
     entries = _resolve_entries(ids) if ids else catalog()
     tags = [e.tag for e in entries] if ids else None
     for side in (s for e in entries for s in (e.lhs, e.rhs, *e.rhs_variants.values())):

@@ -25,7 +25,8 @@ positive integer are the poles that the grid must avoid.
 Only the oracle uses this module, and it imports it on first use: the
 analysis is not compiled in a process that never sizes a grid.  The
 shared sub-products of the sides are analysed once per key, and each
-cell's bound once per process; ``special.clear_memos`` empties both.
+cell's bound once per process, in the memos ``degrees.forms`` and
+``degrees.cells`` (see ``special.memo_info``).
 """
 
 from __future__ import annotations
@@ -269,15 +270,12 @@ class _Degrees:
     @staticmethod
     def shared(key, run, env, of_x):
         """``run(alg, env)``, analysed once per key in the process."""
-        value = _FORMS.get(key)
-        if value is None:
-            value = _FORMS[key] = run(_DEGREES, env)
-        return value
+        return _FORMS.lookup(key, run, _DEGREES, env)
 
 
 _DEGREES = _Degrees()
 # The shared sub-products of the sides (see ``dsl.compiled``), analysed.
-_FORMS = KeyedMemo()
+_FORMS = KeyedMemo("degrees.forms")
 
 
 def analyse(ast, n: int, params):
@@ -307,7 +305,7 @@ def poles(value) -> tuple[tuple[int, ...], tuple[int, ...]]:
     )
 
 
-@register_memo
+@register_memo("degrees.cells")
 @functools.lru_cache(maxsize=None)
 def cell_bound(lhs, rhs, n: int, params: tuple):
     """((bs, bx), poles) of L - R at n, for the ``catalog.Side``s lhs and

@@ -5,9 +5,8 @@ integers and rationals stay int/Fraction, and a value with s or x is a
 factored-denominator accumulator, so sums over ``1/(s+j)``- and
 ``1/(1+x)``-shaped terms keep structured denominators instead of
 cross-multiplying.  The sub-products that the compiled form shares are
-kept process-wide; ``product_memo_info`` reports their use and
-``special.clear_memos`` empties them.  Errors carry the span of the node
-at fault.
+kept process-wide in the memo ``dsl.products`` (see ``special.memo_info``).
+Errors carry the span of the node at fault.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ from ..exact import ZeroDenominatorError
 from ..report import Report, ReportRow, make_witness
 from ..special import (
     KeyedMemo,
-    MemoInfo,
     binom_factor,
     binom_int,
     harmonic,
@@ -75,13 +73,7 @@ class _Exact:
 
     def shared(self, key, run, env, of_x):
         """``run(self, env)``, computed once per key in the process."""
-        value = _PRODUCTS.get(key)
-        if value is None:
-            _PRODUCTS.misses += 1
-            value = _PRODUCTS[key] = run(self, env)
-        else:
-            _PRODUCTS.hits += 1
-        return value
+        return _PRODUCTS.lookup(key, run, self, env)
 
     def power(self, base, e: int, span):
         if isinstance(base, FactoredFrac):
@@ -101,12 +93,7 @@ class _Exact:
 
 _EXACT = _Exact()
 # The sub-products that ``dsl.compiled`` shares, by source text and bindings.
-_PRODUCTS = KeyedMemo()
-
-
-def product_memo_info() -> MemoInfo:
-    """Hit, miss and entry counts of the shared sub-product memo."""
-    return _PRODUCTS.info()
+_PRODUCTS = KeyedMemo("dsl.products")
 
 
 def eval(

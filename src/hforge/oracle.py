@@ -30,9 +30,8 @@ its coefficient list once per s, brings it to one integer row over a
 common denominator, and evaluates that row by Horner's rule at each x.
 At a sample value s, ``_PointCtx`` keeps prefix
 sums of ``1/(s+j)`` and ``1/(s+j)^2`` and the binomials ``C(s+shift, k)``,
-grown on demand; one context per integer s, memoized process-wide,
-serves every cell of a sweep, ``point_memo_info`` reports its use and
-``special.clear_memos`` empties it.
+grown on demand; one context per integer s, memoized process-wide
+(``oracle.points``), serves every cell of a sweep.
 
 How many points a cell needs comes from its statements: ``degree_bound``
 runs the degree-and-pole analysis of ``hforge.degrees`` on both sides and
@@ -46,15 +45,14 @@ The analysis runs once per cell and process, whichever oracle asks.
 
 A sampling grid (s = 1..M with M > 1, the grids of ``sampling_verify``)
 also shares the sub-products of the sides (see ``dsl.compiled``) that
-are free of x, in a process-wide memo keyed by source text and bindings:
-each is kept as its list of values over s = 1..M.  A smaller grid reads
-a prefix of that list; a larger one extends it by running the
-sub-product on the tail of its grid alone.  Integer-s grids, one-point
+are free of x, in a process-wide memo (``oracle.grid``) keyed by source
+text and bindings: each is kept as its list of values over s = 1..M.  A
+smaller grid reads a prefix of that list; a larger one extends it by
+running the sub-product on the tail of its grid alone.  Integer-s grids, one-point
 grids and empty grids share no sub-product, so the integer-s oracle stays
-independent of the sampling one.  ``grid_memo_info`` reports the memo's
-use and ``special.clear_memos`` empties it.  An integer-s grid holds all
-of ``INTEGER_S_POINTS``, and the last cell's four verdicts answer its
-other three points (``integer_s_check``, ``integer_s_memo_info``).
+independent of the sampling one.  An integer-s grid holds all of
+``INTEGER_S_POINTS``, and the last cell's four verdicts answer its other
+three points (``integer_s_check``, memo ``oracle.integer_s``).
 """
 
 from __future__ import annotations
@@ -72,7 +70,6 @@ from .dsl.compiled import compiled
 from .report import ReportRow
 from .special import (
     KeyedMemo,
-    MemoInfo,
     binom_int,
     harmonic,
     harmonic_gen,
@@ -263,27 +260,16 @@ class _PointCtx:
         return col[k]
 
 
-@register_memo
+@register_memo("oracle.points")
 @functools.lru_cache(maxsize=None)
 def _point_ctx(s: int) -> _PointCtx:
     """The context at sample value s, shared by every cell."""
     return _PointCtx(s)
 
 
-def point_memo_info() -> MemoInfo:
-    """Hit, miss and entry counts of the per-s context memo."""
-    info = _point_ctx.cache_info()
-    return MemoInfo(hits=info.hits, misses=info.misses, size=info.currsize)
-
-
 # The sub-products that sampling grids share (``_Grid.shared``), each a
 # list of values over s = 1..M.
-_PRODUCTS = KeyedMemo()
-
-
-def grid_memo_info() -> MemoInfo:
-    """Hit, miss and entry counts of the sampling grids' sub-product memo."""
-    return _PRODUCTS.info()
+_PRODUCTS = KeyedMemo("oracle.grid")
 
 
 def _check_s0(s0) -> None:
@@ -608,12 +594,7 @@ def sampling_verify(
 
 # The last cell walked over ``INTEGER_S_POINTS``: its entry and its verdict
 # at each point, or None if the walk raised.
-_CELL = KeyedMemo()
-
-
-def integer_s_memo_info() -> MemoInfo:
-    """Hit, miss and entry counts of the integer-s oracle's one-cell memo."""
-    return _CELL.info()
+_CELL = KeyedMemo("oracle.integer_s")
 
 
 def _integer_s_walk(entry: IdentityEntry, n: int, params: Params, rhs: Side, points):

@@ -20,9 +20,14 @@ denominator factors, computed on integer coefficient lists with no gcd.
 already reduced, because every pole is distinct and has a nonzero
 residue.  All three builders are memoized process-wide; their values are
 never mutated, so one value is shared by every cell and side that asks for
-it.  Other modules register their own process-wide memos with
-``register_memo`` (a ``KeyedMemo`` registers itself), and ``clear_memos``
-empties them all with the harmonic table.
+it.
+
+Every process-wide memo of the package is registered here once, under a
+name such as ``special.psi_factor`` or ``oracle.grid`` (``register_memo``;
+a ``KeyedMemo`` registers itself), and answers ``cache_info()`` and
+``cache_clear()`` as an ``lru_cache`` wrapper does.  ``memo_info``
+reports each one's hit, miss and entry counts by name, and
+``clear_memos`` empties them all.
 """
 
 from __future__ import annotations
@@ -30,10 +35,79 @@ from __future__ import annotations
 import functools
 import math
 import threading
+from collections import namedtuple
 from fractions import Fraction
 from typing import NamedTuple
 
 from .bivar import BiPoly, FactoredFrac, times_linear
+
+
+class MemoInfo(NamedTuple):
+    """Counts of a memo table since it was last emptied."""
+
+    hits: int
+    misses: int
+    size: int
+
+
+# What a memo's ``cache_info()`` returns, as an ``lru_cache``'s does.
+_CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
+# Every process-wide memo, by name, in registration order.
+_MEMOS: dict[str, object] = {}
+
+
+def register_memo(name: str):
+    """A function that registers a memo as ``name`` and returns it, usable
+    as a decorator above ``functools.lru_cache``; a taken name raises
+    ``ValueError``."""
+
+    def register(memo):
+        if name in _MEMOS:
+            raise ValueError(f"a memo is already registered as {name!r}")
+        _MEMOS[name] = memo
+        return memo
+
+    return register
+
+
+def memo_info() -> dict[str, MemoInfo]:
+    """Each memo's hit, miss and entry counts, by name in registration order."""
+    infos = {name: memo.cache_info() for name, memo in _MEMOS.items()}
+    return {name: MemoInfo(i.hits, i.misses, i.currsize) for name, i in infos.items()}
+
+
+def clear_memos() -> None:
+    """Empty every registered memo and its counts, so that the work that
+    follows starts cold."""
+    for memo in _MEMOS.values():
+        memo.cache_clear()
+
+
+class KeyedMemo(dict):
+    """A process-wide table of shared values, with hit and miss counts;
+    registered as ``name`` on creation."""
+
+    def __init__(self, name: str):
+        super().__init__()
+        self.hits = self.misses = 0
+        register_memo(name)(self)
+
+    def lookup(self, key, build, *args):
+        """The value kept for ``key``, or ``build(*args)`` kept as it."""
+        value = self.get(key)
+        if value is None:
+            self.misses += 1
+            value = self[key] = build(*args)
+        else:
+            self.hits += 1
+        return value
+
+    def cache_info(self) -> _CacheInfo:
+        return _CacheInfo(self.hits, self.misses, None, len(self))
+
+    def cache_clear(self) -> None:
+        self.clear()
+        self.hits = self.misses = 0
 
 
 class HarmonicCache:
@@ -41,7 +115,8 @@ class HarmonicCache:
 
     Reads of already-published prefixes are lock-free; extension is
     serialized by a lock, so concurrent readers and a single growing writer
-    are safe.
+    are safe.  It counts no hits or misses, since that would add work to
+    every ``harmonic`` call; its size is the number of n it holds.
     """
 
     def __init__(self):
@@ -49,12 +124,13 @@ class HarmonicCache:
         self._h2: list[Fraction] = [Fraction(0)]
         self._lock = threading.Lock()
 
-    def _extend(self, n: int) -> None:
+    def _extend(self, n: int, r: int) -> Fraction:
         with self._lock:
             h1, h2 = self._h1, self._h2
             for i in range(len(h1), n + 1):
                 h1.append(h1[i - 1] + Fraction(1, i))
                 h2.append(h2[i - 1] + Fraction(1, i * i))
+            return (h1 if r == 1 else h2)[n]
 
     def get(self, n: int, r: int) -> Fraction:
         if r == 1:
@@ -64,14 +140,20 @@ class HarmonicCache:
         else:
             raise ValueError(f"the table holds orders 1 and 2, got r={r!r}")
         if n >= len(table):
-            self._extend(n)
+            return self._extend(n, r)
         return table[n]
 
-    def __len__(self) -> int:
-        return len(self._h1)
+    def cache_info(self) -> _CacheInfo:
+        return _CacheInfo(0, 0, None, len(self._h1))
+
+    def cache_clear(self) -> None:
+        """Drop every entry but H_0.  The tables are replaced, not cut, so
+        a reader that holds the old ones still finds its prefix whole."""
+        with self._lock:
+            self._h1, self._h2 = [Fraction(0)], [Fraction(0)]
 
 
-_cache = HarmonicCache()
+_cache = register_memo("special.harmonic")(HarmonicCache())
 
 
 def harmonic(n: int) -> Fraction:
@@ -149,62 +231,8 @@ def _psi_factor_build(a: int, b: int, m: int) -> FactoredFrac:
 
 _binom_factor_memo = functools.lru_cache(maxsize=None)(_binom_factor_build)
 _psi_factor_memo = functools.lru_cache(maxsize=None)(_psi_factor_build)
-_FACTOR_MEMOS = (_binom_factor_memo, _psi_factor_memo)
-# Every memo that clear_memos empties: the factor memo and the ones other
-# modules add with register_memo.
-_MEMOS = list(_FACTOR_MEMOS)
-
-
-def register_memo(memo):
-    """Have ``clear_memos`` empty an ``lru_cache``-wrapped function too.
-    Returns ``memo``; usable as a decorator."""
-    _MEMOS.append(memo)
-    return memo
-
-
-def clear_memos() -> None:
-    """Empty the harmonic table and every registered memo, so that the
-    work that follows starts cold."""
-    global _cache
-    _cache = HarmonicCache()
-    for memo in _MEMOS:
-        memo.cache_clear()
-
-
-class MemoInfo(NamedTuple):
-    """Counts of a memo table since it was last emptied."""
-
-    hits: int
-    misses: int
-    size: int
-
-
-class KeyedMemo(dict):
-    """A process-wide table of shared values, with hit and miss counts kept
-    by its user.  Registered with ``register_memo`` on creation, so
-    ``clear_memos`` empties it and its counts."""
-
-    def __init__(self):
-        super().__init__()
-        self.hits = self.misses = 0
-        register_memo(self)
-
-    def cache_clear(self) -> None:
-        self.clear()
-        self.hits = self.misses = 0
-
-    def info(self) -> MemoInfo:
-        return MemoInfo(hits=self.hits, misses=self.misses, size=len(self))
-
-
-def factor_memo_info() -> MemoInfo:
-    """Hit, miss and entry counts of the factor memo, summed over CS/PSID/PSI1D."""
-    infos = [builder.cache_info() for builder in _FACTOR_MEMOS]
-    return MemoInfo(
-        hits=sum(i.hits for i in infos),
-        misses=sum(i.misses for i in infos),
-        size=sum(i.currsize for i in infos),
-    )
+register_memo("special.binom_factor")(_binom_factor_memo)
+register_memo("special.psi_factor")(_psi_factor_memo)
 
 
 def _check_binom(a: int, k: int) -> None:

@@ -30,9 +30,8 @@ from hforge.catalog import (
 from hforge.catalog import catalog as catalog_entries
 from hforge.dsl import EvalError, check, load_corpus
 from hforge.dsl import eval as dsl_eval
-from hforge.dsl.evaluator import product_memo_info
-from hforge.oracle import grid_memo_info, point_memo_info
-from hforge.special import clear_memos, factor_memo_info
+from hforge.special import clear_memos, memo_info
+from test_special import cold_memos
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -343,7 +342,9 @@ class TestVerify:
         serial = verify_all(4, oracle="both", workers=1)
         # forked workers inherit these filled memos, spawned ones start
         # empty; either way the rows are the serial ones
-        assert factor_memo_info().size > 0 and point_memo_info().size > 0
+        cold = cold_memos()
+        for name, info in memo_info().items():
+            assert info.size > cold[name].size, name
         parallel = verify_all(4, oracle="both", workers=2)
         assert serial.total == 156 and serial.all_ok()
         assert timeless(parallel) == timeless(serial)
@@ -520,7 +521,7 @@ def test_shared_and_cancelled_sides_equal_cold_and_uncancelled_ones(monkeypatch)
     clear_memos()
     for _, evaluate in sides:
         evaluate()
-    assert product_memo_info().hits > 0
+    assert memo_info()["dsl.products"].hits > 0
     warm = [evaluate() for _, evaluate in sides]
     cold = []
     for _, evaluate in sides:
@@ -540,7 +541,10 @@ def test_shared_and_cancelled_sides_equal_cold_and_uncancelled_ones(monkeypatch)
 
 def test_clear_memos_empties_the_shared_product_memos():
     clear_memos()
-    verify_all(3, tags=["THM-2.8", "THM-2.2"], oracle="sampling")
-    assert product_memo_info().size > 0 and grid_memo_info().size > 0
+    verify_all(3, tags=["THM-2.8", "THM-2.2"], oracle="both")
+    infos, cold = memo_info(), cold_memos()
+    assert len(infos) == 9
+    for name, info in infos.items():
+        assert info.size > cold[name].size, name
     clear_memos()
-    assert product_memo_info() == grid_memo_info() == (0, 0, 0)
+    assert memo_info() == cold_memos()

@@ -352,18 +352,39 @@ class TestBenchCommand:
         assert header == "id,n,workers,nanos"
         assert sweep.startswith("sweep,16,")
 
+    @pytest.mark.parametrize("n_range, message", [
+        (("--n-min", "0"), "--n-min must be >= 1"),
+        (("--n-min", "3", "--n-max", "2"), "--n-min must not exceed --n-max"),
+    ])
+    def test_the_n_range_is_checked_as_verify_checks_it(self, runner, n_range, message):
+        for command in ("verify", "bench"):
+            r = invoke(runner, command, "--id", "ID-5", *n_range)
+            assert r.exit_code == 2, command
+            assert message in r.output, command
+
+    @pytest.mark.parametrize("args, message", [
+        (("verify", "--id", "ID-13", "--m", "2,x"), "bad --m list '2,x'"),
+        (("bench", "--id", "ID-5", "--workers", "1,x"), "bad --workers list '1,x'"),
+        (("bench", "--id", "ID-5", "--workers", ","),
+         "--workers must list at least one value"),
+    ])
+    def test_a_bad_comma_list_is_named(self, runner, args, message):
+        r = invoke(runner, *args)
+        assert r.exit_code == 2
+        assert message in r.output
+
     def test_each_sweep_starts_with_cold_tables(self, runner, monkeypatch):
         from hforge import cli
-        from hforge.dsl.evaluator import product_memo_info
-        from hforge.special import factor_memo_info
+        from hforge.special import memo_info
+        from test_special import cold_memos
 
         seen = []
         real = cli.verify_all
 
         def recording(*args, **kwargs):
-            before = factor_memo_info(), product_memo_info()
+            before = memo_info()
             report = real(*args, **kwargs)
-            seen.append((before, (factor_memo_info(), product_memo_info())))
+            seen.append((before, memo_info()))
             return report
 
         monkeypatch.setattr(cli, "verify_all", recording)
@@ -373,11 +394,12 @@ class TestBenchCommand:
         )
         assert r.exit_code == 0
         assert len(seen) == 3
-        # the factor memo and the shared sub-product memo alike
-        for memo in (0, 1):
-            assert {before[memo] for before, _ in seen} == {(0, 0, 0)}
-            (after,) = {after[memo] for _, after in seen}
-            assert after.misses > 0
+        # every registered memo, whichever the sweep fills
+        for before, after in seen:
+            assert before == cold_memos()
+            assert after == seen[0][1]
+        for name in ("special.binom_factor", "special.psi_factor", "dsl.products"):
+            assert seen[0][1][name].misses > 0
 
     def test_no_sweep_compiles_a_tree(self, runner, monkeypatch):
         from hforge import cli

@@ -36,17 +36,22 @@ from hforge.dsl import (
 from hforge.bivar import FactoredFrac
 from hforge.catalog import Side, catalog as catalog_entries
 from hforge.dsl import eval as dsl_eval
-from hforge.dsl.evaluator import product_memo_info
 from hforge.special import (
     binom_factor,
     clear_memos,
-    factor_memo_info,
     harmonic,
+    memo_info,
     psi_factor,
 )
 from test_oracle import ONE_BUILTIN
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus" / "paper.ids"
+
+
+def factor_counts():
+    """The counts of the CS and PSID/PSI1D factor memos, summed."""
+    info = memo_info()
+    return tuple(map(sum, zip(info["special.binom_factor"], info["special.psi_factor"])))
 
 
 def diags(result):
@@ -388,13 +393,13 @@ class TestEvaluator:
         plain = dsl_eval(ast, 3)
         # PSID(1,1), PSID(2,1), PSID(3,1): six calls, three builds; the
         # three products s*PSID(k,1) are built once each
-        assert factor_memo_info() == (3, 3, 3)
-        assert product_memo_info() == (0, 3, 3)
+        assert factor_counts() == (3, 3, 3)
+        assert memo_info()["dsl.products"] == (0, 3, 3)
         assert dsl_eval(ast, 3) == plain
         # the repeat builds nothing: PSID(3,1)^2 is served by the factor
         # memo, s*PSID(k,1) by the product memo
-        assert factor_memo_info() == (6, 3, 3)
-        assert product_memo_info() == (3, 3, 3)
+        assert factor_counts() == (6, 3, 3)
+        assert memo_info()["dsl.products"] == (3, 3, 3)
         want = sum(
             (psi_factor(3, 1) ** 2 + psi_factor(k, 1) * FactoredFrac.var_s()
              for k in (1, 2, 3)),
@@ -419,10 +424,10 @@ class TestSharedProducts:
     def test_a_product_is_reused_across_n_and_sides(self):
         clear_memos()
         first = self.evaluate("sum(k=0..n-1, C(n,k) * CS(k,k)*PSID(k+1,1))", 3)
-        assert product_memo_info() == (0, 3, 3)
+        assert memo_info()["dsl.products"] == (0, 3, 3)
         # another n and another statement of the same sub-product reuse it
         self.evaluate("sum(k=0..n-1, CS(k,k)*PSID(k+1,1)/(k+1))", 4)
-        assert product_memo_info() == (3, 4, 4)
+        assert memo_info()["dsl.products"] == (3, 4, 4)
         want = sum(
             (binom_factor(k, k) * psi_factor(k + 1, 1) * math.comb(3, k) for k in range(3)),
             FactoredFrac.from_scalar(0),
@@ -433,7 +438,7 @@ class TestSharedProducts:
         clear_memos()
         a = self.evaluate("sum(k=1..n, CS(k,k)*PSID(k+1,1))", 4)
         b = self.evaluate("sum(j=1..n, CS(j,j)*PSID(j+1,1))", 4)
-        assert product_memo_info() == (0, 8, 8)
+        assert memo_info()["dsl.products"] == (0, 8, 8)
         assert a == b
 
     def test_sides_that_differ_only_in_a_parameter_value_share_nothing(self):
@@ -446,7 +451,7 @@ class TestSharedProducts:
                 FactoredFrac.from_scalar(0),
             )
             assert got == want.to_bifrac(), m
-        assert product_memo_info().hits == 0
+        assert memo_info()["dsl.products"].hits == 0
 
     def test_sides_that_differ_only_in_a_divide_flag_share_nothing(self):
         clear_memos()
@@ -459,7 +464,7 @@ class TestSharedProducts:
             ("CS(n,1)/(PSID(n+1,1)/CS(n,2))", cs / (psi / cs2)),
         ]:
             assert self.evaluate(src, 3) == want.to_bifrac(), src
-        assert product_memo_info().hits == 0
+        assert memo_info()["dsl.products"].hits == 0
 
     def test_an_unbound_name_raises_the_same_error(self):
         src = "sum(k=1..n, CS(m,k)*PSID(m+k,k))"
@@ -470,7 +475,7 @@ class TestSharedProducts:
             assert exc.value.message == "unbound variable 'm'"
             at = src.index("CS(m") + 3
             assert exc.value.span == (at, at + 1)
-            assert product_memo_info().size == 0
+            assert memo_info()["dsl.products"].size == 0
             # the same product with m bound is unaffected
             self.evaluate(src, 3, {"m": 2}, ("m",))
 

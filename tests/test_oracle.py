@@ -21,12 +21,10 @@ from hforge.dsl import check, load_corpus
 from hforge.oracle import (
     SampleCertificate,
     degree_bound,
-    grid_memo_info,
     integer_s_check,
-    point_memo_info,
     sampling_verify,
 )
-from hforge.special import clear_memos
+from hforge.special import clear_memos, memo_info
 
 compiled_module = importlib.import_module("hforge.dsl.compiled")
 evaluator = importlib.import_module("hforge.dsl.evaluator")
@@ -247,7 +245,7 @@ class TestPointMemo:
         # indices, which is what a cell would use with no memo at all.
         clear_memos()
         first = _oracle_sweep(10)
-        info = point_memo_info()
+        info = memo_info()["oracle.points"]
         assert info.size > 0
         for sv in range(1, info.size + 1):
             ctx = oracle._point_ctx(sv)
@@ -259,7 +257,7 @@ class TestPointMemo:
             assert ctx._p1 == fresh._p1 and ctx._p2 == fresh._p2, sv
             assert ctx._binom == fresh._binom, sv
         # the contexts read above were all there were
-        assert point_memo_info().misses == info.misses
+        assert memo_info()["oracle.points"].misses == info.misses
         clear_memos()
         assert _oracle_sweep(10) == first
         for *_, cert, _ in first:
@@ -269,10 +267,10 @@ class TestPointMemo:
     def test_a_repeated_sweep_adds_no_misses(self):
         clear_memos()
         _oracle_sweep(4)
-        first = point_memo_info()
+        first = memo_info()["oracle.points"]
         assert first.misses > 0 and first.size == first.misses
         _oracle_sweep(4)
-        second = point_memo_info()
+        second = memo_info()["oracle.points"]
         assert second.misses == first.misses and second.size == first.size
         assert second.hits > first.hits
 
@@ -280,9 +278,9 @@ class TestPointMemo:
         clear_memos()
         for _ in range(2):
             cert = sampling_verify(lookup("THM-2.6"), 3)
-            assert point_memo_info().size == cert.degree_bound[0] + 1
+            assert memo_info()["oracle.points"].size == cert.degree_bound[0] + 1
             clear_memos()
-            assert point_memo_info() == (0, 0, 0)
+            assert memo_info()["oracle.points"] == (0, 0, 0)
 
 
 class TestGridMemo:
@@ -308,13 +306,13 @@ class TestGridMemo:
     def test_cold_and_warm_memos_give_the_same_value_at_every_point(self):
         clear_memos()
         plain = self.grid_values(8, shared=False)
-        assert grid_memo_info() == (0, 0, 0)
+        assert memo_info()["oracle.grid"] == (0, 0, 0)
         extended = self.grid_values(8, shared=True)
-        info = grid_memo_info()
+        info = memo_info()["oracle.grid"]
         # smaller grids came first, so the larger ones extended the lists
         assert info.misses > info.size > 0
         warm = self.grid_values(8, shared=True)
-        assert grid_memo_info().misses == info.misses
+        assert memo_info()["oracle.grid"].misses == info.misses
         cold = self.grid_values(8, shared=True, fresh=True)
         assert plain == extended == warm == cold
 
@@ -325,14 +323,14 @@ class TestGridMemo:
         for s0 in oracle.INTEGER_S_POINTS:
             integer_s_check(entry, 3, s0)
         oracle._walk(entry.rhs, 3, {}, [oracle._point_ctx(1)], (), shared=True)
-        info = grid_memo_info()
+        info = memo_info()["oracle.grid"]
         assert info.size > 0 and info.hits == 0
         # an x-carrying product is never kept, an x-free one is
         ctxs, xs = [oracle._point_ctx(sv) for sv in (1, 2, 3)], [Fraction(1), Fraction(2)]
         oracle._walk(Side("CS(n,2)*PSID(n+1,1)*x"), 3, {}, ctxs, xs, shared=True)
-        assert grid_memo_info() == info
+        assert memo_info()["oracle.grid"] == info
         oracle._walk(Side("(CS(n,2)*PSID(n+1,1) + 1)*x"), 3, {}, ctxs, xs, shared=True)
-        assert grid_memo_info().size == info.size + 1
+        assert memo_info()["oracle.grid"].size == info.size + 1
 
 
 class TestDegreeBound:
@@ -689,7 +687,7 @@ class TestIntegerSBatch:
                 assert integer_s_check(cell, 3, s0)
             with pytest.raises(error):
                 integer_s_check(cell, 3, 0)
-            assert oracle.integer_s_memo_info() == (4, 1, 1)
+            assert memo_info()["oracle.integer_s"] == (4, 1, 1)
 
     def test_an_entry_that_shares_a_tag_gets_its_own_verdicts(self):
         entry = lookup("THM-2.6")
@@ -701,7 +699,7 @@ class TestIntegerSBatch:
             assert integer_s_check(entry, 3, s0)
             assert integer_s_check(wrong, 3, s0) is (s0 in (0, 2))
         # each call asked for another entry's cell than the call before
-        assert oracle.integer_s_memo_info() == (0, 8, 1)
+        assert memo_info()["oracle.integer_s"] == (0, 8, 1)
 
     def test_a_disagreement_names_its_point(self):
         from hforge.report import ReportRow
@@ -717,17 +715,17 @@ class TestIntegerSBatch:
     def test_a_sweep_counts_one_miss_and_three_hits_per_cell(self):
         cells = _s_cells(4)
         clear_memos()
-        assert oracle.integer_s_memo_info() == (0, 0, 0)
+        assert memo_info()["oracle.integer_s"] == (0, 0, 0)
         for e, n, params, variant in cells:
             for s0 in oracle.INTEGER_S_POINTS:
                 integer_s_check(e, n, s0, params, variant)
-        assert oracle.integer_s_memo_info() == (3 * len(cells), len(cells), 1)
+        assert memo_info()["oracle.integer_s"] == (3 * len(cells), len(cells), 1)
         # a point outside INTEGER_S_POINTS is walked alone
         e, n, params, variant = cells[0]
         integer_s_check(e, n, 3, params, variant)
-        assert oracle.integer_s_memo_info() == (3 * len(cells), len(cells), 1)
+        assert memo_info()["oracle.integer_s"] == (3 * len(cells), len(cells), 1)
         clear_memos()
-        assert oracle.integer_s_memo_info() == (0, 0, 0)
+        assert memo_info()["oracle.integer_s"] == (0, 0, 0)
 
 
 def test_the_anchored_id14_display_holds_at_m_2_and_fails_at_m_3():

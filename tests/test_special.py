@@ -3,26 +3,31 @@ and their factored-fraction builders."""
 
 import dataclasses
 import functools
+import importlib
+import pkgutil
 import random
 from fractions import Fraction
 
 import pytest
 
+import hforge
 from hforge import catalog, special
 from hforge.bivar import BiPoly, FactoredFrac, bifrac_eq
 from hforge.catalog import verify_all
-from hforge.dsl.evaluator import product_memo_info
 from hforge.special import (
     HarmonicCache,
+    KeyedMemo,
+    MemoInfo,
     binom_factor,
     binom_int,
     binom_neg3half,
     clear_memos,
-    factor_memo_info,
     harmonic,
     harmonic_gen,
+    memo_info,
     psi1_factor,
     psi_factor,
+    register_memo,
 )
 
 HALF = Fraction(1, 2)
@@ -76,16 +81,29 @@ class TestMemoization:
         harmonic(30)
         psi_factor(5, 0)
         binom_factor(2, 3)
-        assert factor_memo_info().size > 0 and len(special._cache) > 30
+        info = memo_info()
+        assert info["special.psi_factor"].size > 0
+        assert info["special.binom_factor"].size > 0
+        assert info["special.harmonic"].size > 30
         clear_memos()
-        assert factor_memo_info() == (0, 0, 0)
-        assert len(special._cache) == 1
+        assert memo_info() == cold_memos()
 
     def test_cache_extends_on_demand(self):
         cache = HarmonicCache()
         assert cache.get(4, 1) == Fraction(25, 12)
         assert cache.get(4, 2) == 1 + Fraction(1, 4) + Fraction(1, 9) + Fraction(1, 16)
-        assert len(cache) >= 5
+        assert cache.cache_info().currsize >= 5
+
+    def test_a_clear_leaves_the_tables_a_reader_holds_whole(self):
+        # readers take no lock: one that read a table before a clear must
+        # still find every entry it saw the table hold
+        cache = HarmonicCache()
+        cache.get(10, 2)
+        held = cache._h1, cache._h2
+        cache.cache_clear()
+        assert held[0] == [harmonic(n) for n in range(11)]
+        assert held[1] == [harmonic_gen(n, 2) for n in range(11)]
+        assert cache.cache_info().currsize == 1
 
     def test_cache_holds_only_orders_one_and_two(self):
         cache = HarmonicCache()
@@ -320,21 +338,61 @@ class TestDirectFactors:
             binom_factor(2, -1)
 
 
+def cold_memos() -> dict:
+    """What ``memo_info()`` reads after ``clear_memos()``: no counts, and no
+    entries but the harmonic table's H_0."""
+    return {
+        name: MemoInfo(0, 0, int(name == "special.harmonic")) for name in special._MEMOS
+    }
+
+
+# The type of an ``lru_cache`` wrapper, got without naming it.
+_LRU_WRAPPER = type(functools.lru_cache(maxsize=None)(abs))
+
+
+class TestMemoRegistry:
+    def test_every_module_level_memo_is_registered(self):
+        # a memo that is never registered would survive clear_memos()
+        found = []
+        for module in pkgutil.walk_packages(hforge.__path__, "hforge."):
+            values = vars(importlib.import_module(module.name)).values()
+            found += [
+                value for value in values
+                if isinstance(value, (KeyedMemo, HarmonicCache, _LRU_WRAPPER))
+            ]
+        registered = special._MEMOS.values()
+        assert {id(memo) for memo in found} == {id(memo) for memo in registered}
+        assert len(registered) == 9
+
+    def test_a_taken_name_is_refused(self):
+        before = dict(special._MEMOS)
+        with pytest.raises(ValueError, match="special.psi_factor"):
+            KeyedMemo("special.psi_factor")
+        with pytest.raises(ValueError, match="special.harmonic"):
+            register_memo("special.harmonic")(functools.lru_cache(maxsize=None)(abs))
+        assert special._MEMOS == before
+
+    def test_memo_info_is_exported_beside_clear_memos(self):
+        assert hforge.memo_info is memo_info
+        assert hforge.clear_memos is clear_memos
+
+
 class TestFactorMemo:
     def test_a_repeated_sweep_adds_no_misses(self):
-        # Counted over the factor memo and the shared sub-product memo: a
-        # product served by the second never calls the builders again.
+        # Counted over the factor memos and the shared sub-product memo: a
+        # product served by the last never calls the builders again.
+        names = ("special.binom_factor", "special.psi_factor", "dsl.products")
         clear_memos()
         verify_all(3, tags=["THM-2.11"])
-        first = [factor_memo_info(), product_memo_info()]
+        first = [memo_info()[name] for name in names]
         for info in first:
             assert info.misses > 0 and info.size == info.misses
         verify_all(3, tags=["THM-2.11"])
-        second = [factor_memo_info(), product_memo_info()]
+        second = [memo_info()[name] for name in names]
         for before, after in zip(first, second):
             assert after.misses == before.misses
             assert after.size == before.size
-        assert second[1].hits > first[1].hits
+        assert second[2].hits > first[2].hits
 
     def test_sweep_rows_agree_with_memoization_off(self, monkeypatch):
         # A warm sweep against each of its cells run alone on empty memos,
